@@ -37,4 +37,9 @@ constexpr u64 ceil_div(u64 a, u64 b) { return (a + b - 1) / b; }
 /// Round `value` up to the next multiple of `align` (align must be a power of two).
 constexpr u64 align_up(u64 value, u64 align) { return (value + align - 1) & ~(align - 1); }
 
+/// Member declarators for the X-macro counter tables (mac::HarqStats, the
+/// slot fault counters in ran/scheduler.h): X(name) declares a zeroed counter.
+#define TSIM_U32_COUNTER(name) u32 name = 0;
+#define TSIM_U64_COUNTER(name) u64 name = 0;
+
 }  // namespace tsim

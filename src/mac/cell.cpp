@@ -90,27 +90,6 @@ u64 CellConfig::cell_seed() const {
   return Rng::derive_seed(farm_seed, {kCellStream, cell});
 }
 
-bool CellReport::operator==(const CellReport& o) const {
-  return cell == o.cell && ues == o.ues && ttis == o.ttis &&
-         harq.new_tx == o.harq.new_tx && harq.retx == o.harq.retx &&
-         harq.acks == o.harq.acks && harq.drops == o.harq.drops &&
-         harq.stalls == o.harq.stalls &&
-         harq.offered_bits == o.harq.offered_bits &&
-         harq.delivered_bits == o.harq.delivered_bits &&
-         harq.dropped_bits == o.harq.dropped_bits &&
-         harq.soft_buffer_peak_bits == o.harq.soft_buffer_peak_bits &&
-         pdus == o.pdus && crc_fail == o.crc_fail &&
-         unresolved == o.unresolved && bits == o.bits && errors == o.errors &&
-         slots == o.slots && misses == o.misses &&
-         worst_cycles == o.worst_cycles && p50_cycles == o.p50_cycles &&
-         p99_cycles == o.p99_cycles && reloads == o.reloads &&
-         reload_cycles == o.reload_cycles && harq.timeouts == o.harq.timeouts &&
-         dropped_ind == o.dropped_ind && delayed_ind == o.delayed_ind &&
-         degraded_slots == o.degraded_slots && hart_faults == o.hart_faults &&
-         ecc_corrected == o.ecc_corrected && ecc_detected == o.ecc_detected &&
-         ecc_silent == o.ecc_silent;
-}
-
 Cell::Cell(const CellConfig& cfg)
     : cfg_(validated(cfg)), seed_(cfg.cell_seed()), fault_(cell_fault(cfg)),
       scheduler_(pool_with_fault(cfg), cfg.groups) {
@@ -394,11 +373,9 @@ void save_slot_result(sim::SnapshotWriter& w, const ran::SlotResult& s) {
   w.write_u64(s.slot_cycles);
   w.write_bool(s.degraded);
   w.write_vec_u32(s.dead_clusters);
-  w.write_u64(s.failed_batches);
-  w.write_u64(s.hart_faults);
-  w.write_u64(s.ecc_corrected);
-  w.write_u64(s.ecc_detected);
-  w.write_u64(s.ecc_silent);
+#define TSIM_SAVE_FAULTS(f) w.write_u64(s.f);
+  TSIM_SLOT_FAULT_COUNTERS(TSIM_SAVE_FAULTS)
+#undef TSIM_SAVE_FAULTS
 }
 
 ran::SlotResult load_slot_result(sim::SnapshotReader& r) {
@@ -419,11 +396,9 @@ ran::SlotResult load_slot_result(sim::SnapshotReader& r) {
   s.slot_cycles = r.read_u64();
   s.degraded = r.read_bool();
   s.dead_clusters = r.read_vec_u32();
-  s.failed_batches = r.read_u64();
-  s.hart_faults = r.read_u64();
-  s.ecc_corrected = r.read_u64();
-  s.ecc_detected = r.read_u64();
-  s.ecc_silent = r.read_u64();
+#define TSIM_LOAD_FAULTS(f) s.f = r.read_u64();
+  TSIM_SLOT_FAULT_COUNTERS(TSIM_LOAD_FAULTS)
+#undef TSIM_LOAD_FAULTS
   return s;
 }
 }  // namespace
@@ -574,19 +549,7 @@ CellReport Cell::report() const {
   rep.ues = cfg_.num_ues;
   rep.ttis = ttis_run_;
   for (const Ue& ue : ues_) {
-    const HarqStats& s = ue.harq.stats();
-    rep.harq.new_tx += s.new_tx;
-    rep.harq.retx += s.retx;
-    rep.harq.acks += s.acks;
-    rep.harq.drops += s.drops;
-    rep.harq.stalls += s.stalls;
-    rep.harq.timeouts += s.timeouts;
-    rep.harq.offered_bits += s.offered_bits;
-    rep.harq.delivered_bits += s.delivered_bits;
-    rep.harq.dropped_bits += s.dropped_bits;
-    // Summed per-UE peaks: the cell's worst case if every UE peaked at
-    // once (an upper bound; exact per-UE peaks, summed).
-    rep.harq.soft_buffer_peak_bits += s.soft_buffer_peak_bits;
+    rep.harq += ue.harq.stats();
     rep.unresolved += ue.harq.unresolved();
   }
   rep.pdus = rep.harq.transmissions();
@@ -606,10 +569,9 @@ CellReport Cell::report() const {
   rep.dropped_ind = dropped_ind_;
   rep.delayed_ind = delayed_ind_;
   rep.degraded_slots = agg.degraded_slots;
-  rep.hart_faults = agg.hart_faults;
-  rep.ecc_corrected = agg.ecc_corrected;
-  rep.ecc_detected = agg.ecc_detected;
-  rep.ecc_silent = agg.ecc_silent;
+#define TSIM_COPY_FAULTS(f) rep.f = agg.f;
+  TSIM_BATCH_FAULT_COUNTERS(TSIM_COPY_FAULTS)
+#undef TSIM_COPY_FAULTS
   return rep;
 }
 

@@ -82,35 +82,64 @@ struct CellConfig {
   u64 cell_seed() const;
 };
 
+/// How FarmResult::total() merges a CellReport column across cells.
+enum class ColumnMerge : u8 {
+  kNone = 0,  // identity, not a count (the cell id stays 0 in the total)
+  kSum,
+  kMax,       // cells run concurrently: farm timing is the worst cell's
+};
+
+/// The columns of a CellReport, in wire order: the one list of its fields.
+/// C(type, name, merge) is a CellReport member; H(wire, member) is the
+/// summed counter harq.member, sent as column `wire`. The table declares the
+/// members and generates FarmResult::total() and the wire codec
+/// (cell_report_header/row/from_row, mac/farm.h), so a new column is one
+/// entry here plus the line in Cell::report() that produces it.
+#define TSIM_CELL_REPORT_COLUMNS(C, H)                                                \
+  C(u32, cell, kNone)                                                                 \
+  C(u32, ues, kSum)                                                                   \
+  C(u32, ttis, kMax)                                                                  \
+  C(u64, pdus, kSum)           /* PDUs carried to L1 (= harq.transmissions()) */      \
+  H(new_tx, new_tx)                                                                   \
+  H(retx, retx)                                                                       \
+  H(acks, acks)                                                                       \
+  H(drops, drops)                                                                     \
+  H(stalls, stalls)                                                                   \
+  C(u64, crc_fail, kSum)       /* transmissions whose CRC failed */                   \
+  H(offered_bits, offered_bits)                                                       \
+  H(delivered_bits, delivered_bits)                                                   \
+  H(dropped_bits, dropped_bits)                                                       \
+  H(soft_peak_bits, soft_buffer_peak_bits)                                            \
+  C(u64, unresolved, kSum)     /* blocks awaiting feedback at end of run */           \
+  C(u64, bits, kSum)           /* detector payload bits over all slots */             \
+  C(u64, errors, kSum)         /* detector bit errors over all slots */               \
+  C(u64, slots, kSum)          /* slots processed (== ttis) */                        \
+  C(u64, misses, kSum)         /* slots over the TTI deadline */                      \
+  C(u64, worst_cycles, kMax)                                                          \
+  C(u64, p50_cycles, kMax)     /* max over the cells' percentiles */                  \
+  C(u64, p99_cycles, kMax)                                                            \
+  C(u64, reloads, kSum)                                                               \
+  C(u64, reload_cycles, kSum)                                                         \
+  H(timeouts, timeouts)                                                               \
+  /* Fault-injection outcome (all zero with faults off). */                           \
+  C(u64, dropped_ind, kSum)    /* FAPI SlotIndications lost */                        \
+  C(u64, delayed_ind, kSum)    /* FAPI SlotIndications delivered late */              \
+  C(u64, degraded_slots, kSum) /* slots run degraded (dead cluster / failed batch) */ \
+  C(u64, hart_faults, kSum)    /* injected ISS hart faults that fired */              \
+  C(u64, ecc_corrected, kSum)  /* SECDED single-bit L1 upsets scrubbed */             \
+  C(u64, ecc_detected, kSum)   /* double-bit L1 upsets detected (corrupting) */       \
+  C(u64, ecc_silent, kSum)     /* ECC-off L1 upsets (silent corruption) */
+
 /// Integer-only per-cell aggregate. Every field is an exact count (or cycle
 /// total), so a report serialized through the farm's JSON pipe round-trips
 /// bit-identically - the derived rates live in accessors, not fields.
 struct CellReport {
-  u32 cell = 0;
-  u32 ues = 0;
-  u32 ttis = 0;
-  HarqStats harq;          // summed over the cell's UEs
-  u64 pdus = 0;            // PDUs carried to L1 (= harq.transmissions())
-  u64 crc_fail = 0;        // transmissions whose CRC failed
-  u64 unresolved = 0;      // blocks still awaiting feedback at end of run
-  u64 bits = 0;            // detector payload bits over all slots
-  u64 errors = 0;          // detector bit errors over all slots
-  u64 slots = 0;           // slots processed (== ttis)
-  u64 misses = 0;          // slots over the TTI deadline
-  u64 worst_cycles = 0;
-  u64 p50_cycles = 0;
-  u64 p99_cycles = 0;
-  u64 reloads = 0;
-  u64 reload_cycles = 0;
-  // Fault-injection outcome (all zero with faults off; harq.timeouts carries
-  // the feedback-timeout count).
-  u64 dropped_ind = 0;     // FAPI SlotIndications lost
-  u64 delayed_ind = 0;     // FAPI SlotIndications delivered late
-  u64 degraded_slots = 0;  // slots run degraded (dead cluster / failed batch)
-  u64 hart_faults = 0;     // injected ISS hart faults that fired
-  u64 ecc_corrected = 0;   // SECDED single-bit L1 upsets scrubbed
-  u64 ecc_detected = 0;    // double-bit L1 upsets detected (corrupting)
-  u64 ecc_silent = 0;      // ECC-off L1 upsets (silent corruption)
+#define TSIM_CELL_REPORT_MEMBER(type, name, merge) type name = 0;
+#define TSIM_CELL_REPORT_SKIP(wire, member)
+  TSIM_CELL_REPORT_COLUMNS(TSIM_CELL_REPORT_MEMBER, TSIM_CELL_REPORT_SKIP)
+#undef TSIM_CELL_REPORT_MEMBER
+#undef TSIM_CELL_REPORT_SKIP
+  HarqStats harq;  // summed over the cell's UEs
 
   double residual_bler() const { return harq.residual_bler(); }
   double retx_fraction() const { return harq.retx_fraction(); }
@@ -125,7 +154,7 @@ struct CellReport {
                            (static_cast<double>(ttis) * tti_seconds) / 1e6;
   }
 
-  bool operator==(const CellReport& o) const;
+  bool operator==(const CellReport&) const = default;
 };
 
 class Cell {

@@ -1,6 +1,7 @@
 #include "mac/farm.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -89,42 +90,24 @@ std::vector<u32> FarmResult::missing_cells() const {
   return out;
 }
 
+namespace {
+
+template <ColumnMerge M, class T>
+void merge_column(T& total, [[maybe_unused]] T cell) {
+  if constexpr (M == ColumnMerge::kSum) total += cell;
+  if constexpr (M == ColumnMerge::kMax) total = std::max(total, cell);
+}
+
+}  // namespace
+
 CellReport FarmResult::total() const {
   CellReport t;
   for (const CellReport& c : cells) {
-    t.ues += c.ues;
-    t.ttis = std::max(t.ttis, c.ttis);
-    t.harq.new_tx += c.harq.new_tx;
-    t.harq.retx += c.harq.retx;
-    t.harq.acks += c.harq.acks;
-    t.harq.drops += c.harq.drops;
-    t.harq.stalls += c.harq.stalls;
-    t.harq.timeouts += c.harq.timeouts;
-    t.harq.offered_bits += c.harq.offered_bits;
-    t.harq.delivered_bits += c.harq.delivered_bits;
-    t.harq.dropped_bits += c.harq.dropped_bits;
-    t.harq.soft_buffer_peak_bits += c.harq.soft_buffer_peak_bits;
-    t.pdus += c.pdus;
-    t.crc_fail += c.crc_fail;
-    t.unresolved += c.unresolved;
-    t.bits += c.bits;
-    t.errors += c.errors;
-    t.slots += c.slots;
-    t.misses += c.misses;
-    // Cells run concurrently on independent hardware, so farm-level timing
-    // is the worst cell's: max of worsts and of per-cell percentiles.
-    t.worst_cycles = std::max(t.worst_cycles, c.worst_cycles);
-    t.p50_cycles = std::max(t.p50_cycles, c.p50_cycles);
-    t.p99_cycles = std::max(t.p99_cycles, c.p99_cycles);
-    t.reloads += c.reloads;
-    t.reload_cycles += c.reload_cycles;
-    t.dropped_ind += c.dropped_ind;
-    t.delayed_ind += c.delayed_ind;
-    t.degraded_slots += c.degraded_slots;
-    t.hart_faults += c.hart_faults;
-    t.ecc_corrected += c.ecc_corrected;
-    t.ecc_detected += c.ecc_detected;
-    t.ecc_silent += c.ecc_silent;
+#define TSIM_MERGE(type, name, merge) merge_column<ColumnMerge::merge>(t.name, c.name);
+#define TSIM_MERGE_HARQ(wire, member) t.harq.member += c.harq.member;
+    TSIM_CELL_REPORT_COLUMNS(TSIM_MERGE, TSIM_MERGE_HARQ)
+#undef TSIM_MERGE
+#undef TSIM_MERGE_HARQ
   }
   return t;
 }
@@ -412,101 +395,53 @@ BisectResult bisect_cell(const FarmConfig& cfg, u32 cell,
 }
 
 std::vector<std::string> cell_report_header() {
-  return {"cell",        "ues",           "ttis",           "pdus",
-          "new_tx",      "retx",          "acks",           "drops",
-          "stalls",      "crc_fail",      "offered_bits",   "delivered_bits",
-          "dropped_bits", "soft_peak_bits", "unresolved",   "bits",
-          "errors",      "slots",         "misses",         "worst_cycles",
-          "p50_cycles",  "p99_cycles",    "reloads",        "reload_cycles",
-          "timeouts",    "dropped_ind",   "delayed_ind",    "degraded_slots",
-          "hart_faults", "ecc_corrected", "ecc_detected",   "ecc_silent"};
+#define TSIM_NAME(type, name, merge) #name,
+#define TSIM_NAME_HARQ(wire, member) #wire,
+  return {TSIM_CELL_REPORT_COLUMNS(TSIM_NAME, TSIM_NAME_HARQ)};
+#undef TSIM_NAME
+#undef TSIM_NAME_HARQ
 }
 
 std::vector<std::string> cell_report_row(const CellReport& rep) {
   const auto u = [](u64 v) {
     return sim::strf("%llu", static_cast<unsigned long long>(v));
   };
-  return {u(rep.cell),
-          u(rep.ues),
-          u(rep.ttis),
-          u(rep.pdus),
-          u(rep.harq.new_tx),
-          u(rep.harq.retx),
-          u(rep.harq.acks),
-          u(rep.harq.drops),
-          u(rep.harq.stalls),
-          u(rep.crc_fail),
-          u(rep.harq.offered_bits),
-          u(rep.harq.delivered_bits),
-          u(rep.harq.dropped_bits),
-          u(rep.harq.soft_buffer_peak_bits),
-          u(rep.unresolved),
-          u(rep.bits),
-          u(rep.errors),
-          u(rep.slots),
-          u(rep.misses),
-          u(rep.worst_cycles),
-          u(rep.p50_cycles),
-          u(rep.p99_cycles),
-          u(rep.reloads),
-          u(rep.reload_cycles),
-          u(rep.harq.timeouts),
-          u(rep.dropped_ind),
-          u(rep.delayed_ind),
-          u(rep.degraded_slots),
-          u(rep.hart_faults),
-          u(rep.ecc_corrected),
-          u(rep.ecc_detected),
-          u(rep.ecc_silent)};
+#define TSIM_VALUE(type, name, merge) u(rep.name),
+#define TSIM_VALUE_HARQ(wire, member) u(rep.harq.member),
+  return {TSIM_CELL_REPORT_COLUMNS(TSIM_VALUE, TSIM_VALUE_HARQ)};
+#undef TSIM_VALUE
+#undef TSIM_VALUE_HARQ
 }
+
+namespace {
+
+/// Reads column `key` of a wire row into `out`. The row came through a
+/// worker pipe, so only plain decimal digits whose value fits the member's
+/// type are accepted: a sign, a blank, or a value out of range throws.
+template <class T>
+void read_column(const std::vector<std::pair<std::string, std::string>>& row,
+                 const char* key, T& out) {
+  for (const auto& [k, v] : row) {
+    if (k != key) continue;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    check(ec == std::errc{} && ptr == end,
+          std::string("farm row: malformed or out-of-range value for '") + key + "'");
+    return;
+  }
+  throw SimError(std::string("farm row: missing field '") + key + "'");
+}
+
+}  // namespace
 
 CellReport cell_report_from_row(
     const std::vector<std::pair<std::string, std::string>>& row) {
-  const auto field = [&](const char* key) -> u64 {
-    for (const auto& [k, v] : row) {
-      if (k == key) {
-        char* end = nullptr;
-        const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        check(end != v.c_str() && *end == '\0',
-              std::string("farm row: non-integer value for '") + key + "'");
-        return static_cast<u64>(parsed);
-      }
-    }
-    throw SimError(std::string("farm row: missing field '") + key + "'");
-  };
   CellReport rep;
-  rep.cell = static_cast<u32>(field("cell"));
-  rep.ues = static_cast<u32>(field("ues"));
-  rep.ttis = static_cast<u32>(field("ttis"));
-  rep.pdus = field("pdus");
-  rep.harq.new_tx = field("new_tx");
-  rep.harq.retx = field("retx");
-  rep.harq.acks = field("acks");
-  rep.harq.drops = field("drops");
-  rep.harq.stalls = field("stalls");
-  rep.crc_fail = field("crc_fail");
-  rep.harq.offered_bits = field("offered_bits");
-  rep.harq.delivered_bits = field("delivered_bits");
-  rep.harq.dropped_bits = field("dropped_bits");
-  rep.harq.soft_buffer_peak_bits = field("soft_peak_bits");
-  rep.unresolved = field("unresolved");
-  rep.bits = field("bits");
-  rep.errors = field("errors");
-  rep.slots = field("slots");
-  rep.misses = field("misses");
-  rep.worst_cycles = field("worst_cycles");
-  rep.p50_cycles = field("p50_cycles");
-  rep.p99_cycles = field("p99_cycles");
-  rep.reloads = field("reloads");
-  rep.reload_cycles = field("reload_cycles");
-  rep.harq.timeouts = field("timeouts");
-  rep.dropped_ind = field("dropped_ind");
-  rep.delayed_ind = field("delayed_ind");
-  rep.degraded_slots = field("degraded_slots");
-  rep.hart_faults = field("hart_faults");
-  rep.ecc_corrected = field("ecc_corrected");
-  rep.ecc_detected = field("ecc_detected");
-  rep.ecc_silent = field("ecc_silent");
+#define TSIM_READ(type, name, merge) read_column(row, #name, rep.name);
+#define TSIM_READ_HARQ(wire, member) read_column(row, #wire, rep.harq.member);
+  TSIM_CELL_REPORT_COLUMNS(TSIM_READ, TSIM_READ_HARQ)
+#undef TSIM_READ
+#undef TSIM_READ_HARQ
   return rep;
 }
 

@@ -182,8 +182,9 @@ struct FarmResult {
   /// Cells with no report (kDegrade only; sorted). Empty otherwise.
   std::vector<u32> missing_cells() const;
 
-  /// Element-wise sum of every cell's integer counters (timing fields take
-  /// the max/percentile-of-worst semantics noted per field).
+  /// Every cell's columns merged by their TSIM_CELL_REPORT_COLUMNS rule
+  /// (mac/cell.h): counters sum, timing takes the worst cell, and the cell
+  /// id stays 0.
   CellReport total() const;
 };
 
@@ -262,12 +263,17 @@ BisectResult bisect_cell(const FarmConfig& cfg, u32 cell,
                          const BisectPredicate& pred);
 
 /// The JSON row schema of one CellReport (shared by the pipe wire format
-/// and the farm driver's trajectory output): integer fields only.
+/// and the farm driver's trajectory output): integer fields only, one per
+/// entry of TSIM_CELL_REPORT_COLUMNS (mac/cell.h), in its order and under
+/// its names. The header, the row writer and the parser are generated from
+/// that table, so a new column is one table entry plus its producer in
+/// Cell::report().
 std::vector<std::string> cell_report_header();
 std::vector<std::string> cell_report_row(const CellReport& rep);
 /// Rebuilds a report from a parsed JSON row. Throws SimError on a missing
-/// or malformed field; unknown keys are ignored (forward compatibility and
-/// the pad_row_bytes hook).
+/// field or on a value that is not plain decimal digits fitting its member
+/// (no sign, blank or out-of-range value is read); unknown keys are ignored
+/// (forward compatibility and the pad_row_bytes hook).
 CellReport cell_report_from_row(
     const std::vector<std::pair<std::string, std::string>>& row);
 

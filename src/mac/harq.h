@@ -46,18 +46,33 @@ struct HarqConfig {
 };
 
 /// Lifetime counters of one HARQ entity (all monotone; integers only, so
-/// farm aggregates built from them round-trip shards exactly).
+/// farm aggregates built from them round-trip shards exactly). This table is
+/// their one list: it declares the members and generates the field-wise sum
+/// and the snapshot fields, in table order.
+#define TSIM_HARQ_STATS(X)                                                      \
+  X(new_tx)                /* first transmissions (new transport blocks) */     \
+  X(retx)                  /* retransmissions */                                \
+  X(acks)                  /* blocks delivered (CRC pass) */                    \
+  X(drops)                 /* blocks abandoned after the attempt budget */      \
+  X(stalls)                /* slots where new data found no free process */     \
+  X(timeouts)              /* in-flight attempts resolved as NACK by timeout */ \
+  X(offered_bits)          /* bits of every new transport block */              \
+  X(delivered_bits)        /* bits of ACKed blocks */                           \
+  X(dropped_bits)          /* bits of dropped blocks */                         \
+  X(soft_buffer_peak_bits) /* worst-case combined soft-buffer occupancy */
+
 struct HarqStats {
-  u64 new_tx = 0;         // first transmissions (new transport blocks)
-  u64 retx = 0;           // retransmissions
-  u64 acks = 0;           // blocks delivered (CRC pass)
-  u64 drops = 0;          // blocks abandoned after the attempt budget
-  u64 stalls = 0;         // slots where new data found no free process
-  u64 timeouts = 0;       // in-flight attempts resolved as NACK by timeout
-  u64 offered_bits = 0;   // bits of every new transport block
-  u64 delivered_bits = 0; // bits of ACKed blocks
-  u64 dropped_bits = 0;   // bits of dropped blocks
-  u64 soft_buffer_peak_bits = 0;  // worst-case combined soft-buffer occupancy
+  TSIM_HARQ_STATS(TSIM_U64_COUNTER)
+
+  /// Field-wise sum. Summed soft-buffer peaks are the worst case if every
+  /// entity peaked at once (an upper bound built from exact peaks).
+  HarqStats& operator+=(const HarqStats& o) {
+#define TSIM_HARQ_ADD(f) f += o.f;
+    TSIM_HARQ_STATS(TSIM_HARQ_ADD)
+#undef TSIM_HARQ_ADD
+    return *this;
+  }
+  bool operator==(const HarqStats&) const = default;
 
   u64 transmissions() const { return new_tx + retx; }
   u64 finished() const { return acks + drops; }
@@ -223,16 +238,9 @@ class HarqEntity {
       w.write_u64(p.bits);
       w.write_u64(p.sent_tti);
     }
-    w.write_u64(stats_.new_tx);
-    w.write_u64(stats_.retx);
-    w.write_u64(stats_.acks);
-    w.write_u64(stats_.drops);
-    w.write_u64(stats_.stalls);
-    w.write_u64(stats_.timeouts);
-    w.write_u64(stats_.offered_bits);
-    w.write_u64(stats_.delivered_bits);
-    w.write_u64(stats_.dropped_bits);
-    w.write_u64(stats_.soft_buffer_peak_bits);
+#define TSIM_HARQ_SAVE(f) w.write_u64(stats_.f);
+    TSIM_HARQ_STATS(TSIM_HARQ_SAVE)
+#undef TSIM_HARQ_SAVE
   }
   void restore_state(sim::SnapshotReader& r) {
     if (r.read_u64() != processes_.size())
@@ -244,16 +252,9 @@ class HarqEntity {
       p.bits = r.read_u64();
       p.sent_tti = r.read_u64();
     }
-    stats_.new_tx = r.read_u64();
-    stats_.retx = r.read_u64();
-    stats_.acks = r.read_u64();
-    stats_.drops = r.read_u64();
-    stats_.stalls = r.read_u64();
-    stats_.timeouts = r.read_u64();
-    stats_.offered_bits = r.read_u64();
-    stats_.delivered_bits = r.read_u64();
-    stats_.dropped_bits = r.read_u64();
-    stats_.soft_buffer_peak_bits = r.read_u64();
+#define TSIM_HARQ_LOAD(f) stats_.f = r.read_u64();
+    TSIM_HARQ_STATS(TSIM_HARQ_LOAD)
+#undef TSIM_HARQ_LOAD
   }
 
  private:

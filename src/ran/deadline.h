@@ -101,11 +101,7 @@ struct AggregateReport {
   u64 total_errors = 0;    // hard-decision bit errors over all slots
   // Fault-injection outcome over the run (all zero with faults off).
   u64 degraded_slots = 0;  // slots that ran degraded (dead cluster / failed batch)
-  u64 failed_batches = 0;  // batch runs that did not complete
-  u64 hart_faults = 0;     // injected ISS hart faults that fired
-  u64 ecc_corrected = 0;   // SECDED single-bit L1 upsets scrubbed
-  u64 ecc_detected = 0;    // double-bit L1 upsets detected (corrupting)
-  u64 ecc_silent = 0;      // ECC-off L1 upsets (silent corruption)
+  TSIM_SLOT_FAULT_COUNTERS(TSIM_U64_COUNTER)  // summed over the slots
   double clock_hz = 1e9;
   double tti_seconds = 5e-4;
 
@@ -149,11 +145,9 @@ inline AggregateReport aggregate_report(const std::vector<SlotResult>& results,
     agg.total_bits += r.bits;
     agg.total_errors += r.errors;
     if (r.degraded) ++agg.degraded_slots;
-    agg.failed_batches += r.failed_batches;
-    agg.hart_faults += r.hart_faults;
-    agg.ecc_corrected += r.ecc_corrected;
-    agg.ecc_detected += r.ecc_detected;
-    agg.ecc_silent += r.ecc_silent;
+#define TSIM_ADD_SLOT_FAULTS(f) agg.f += r.f;
+    TSIM_SLOT_FAULT_COUNTERS(TSIM_ADD_SLOT_FAULTS)
+#undef TSIM_ADD_SLOT_FAULTS
     if (static_cast<double>(r.slot_cycles) / clock_hz > agg.tti_seconds)
       ++agg.misses;
   }

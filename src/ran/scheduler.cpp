@@ -817,10 +817,9 @@ SlotResult SlotScheduler::run_slot(const SlotWorkload& slot) {
     result.total_reloads += t.reloads;
     result.total_reload_cycles += t.reload_cycles;
     result.total_instructions += t.instructions;
-    result.hart_faults += t.hart_faults;
-    result.ecc_corrected += t.ecc_corrected;
-    result.ecc_detected += t.ecc_detected;
-    result.ecc_silent += t.ecc_silent;
+#define TSIM_ADD_BATCH_FAULTS(f) result.f += t.f;
+    TSIM_BATCH_FAULT_COUNTERS(TSIM_ADD_BATCH_FAULTS)
+#undef TSIM_ADD_BATCH_FAULTS
     if (t.failed) {
       result.failed_batches += 1;
       result.degraded = true;

@@ -137,6 +137,21 @@ struct ClusterPoolConfig {
   void validate() const;
 };
 
+/// Fault-injection outcome of a batch run (all zero on clean runs). Each
+/// counter keeps its name from BatchTrace through SlotResult,
+/// AggregateReport and mac::CellReport; this list declares the members and
+/// generates the per-slot and per-run sums.
+#define TSIM_BATCH_FAULT_COUNTERS(X)                                     \
+  X(hart_faults)    /* injected ISS hart faults that fired */            \
+  X(ecc_corrected)  /* SECDED single-bit L1 upsets scrubbed */           \
+  X(ecc_detected)   /* double-bit L1 upsets detected (word corrupted) */ \
+  X(ecc_silent)     /* ECC-off L1 upsets (silent corruption) */
+
+/// The slot fault counters, in SlotResult and Cell snapshot order.
+#define TSIM_SLOT_FAULT_COUNTERS(X)                                             \
+  X(failed_batches) /* batch runs that did not complete (BatchTrace::failed) */ \
+  TSIM_BATCH_FAULT_COUNTERS(X)
+
 /// One batch execution record, in deterministic batch order.
 struct BatchTrace {
   u32 cluster = 0;        // cluster that ran the batch
@@ -148,11 +163,7 @@ struct BatchTrace {
   u64 reload_cycles = 0;  // modeled DMA cycles of that switch
   u64 cycles = 0;         // estimated DUT cycles of the detection run
   u64 instructions = 0;   // DUT instructions retired by the detection run
-  // Fault-injection outcome of the batch run (all zero on clean runs).
-  u32 hart_faults = 0;    // injected ISS faults that actually fired
-  u32 ecc_corrected = 0;  // SECDED single-bit L1 upsets scrubbed
-  u32 ecc_detected = 0;   // double-bit L1 upsets detected (word corrupted)
-  u32 ecc_silent = 0;     // ECC-off L1 upsets (silent corruption)
+  TSIM_BATCH_FAULT_COUNTERS(TSIM_U32_COUNTER)
   bool failed = false;    // run did not complete; batch bits count as errors
 };
 
@@ -193,11 +204,7 @@ struct SlotResult {
   /// counted as errors for the CRC/HARQ layer to absorb.
   bool degraded = false;
   std::vector<u32> dead_clusters;  // clusters dead this TTI (fault plan)
-  u64 failed_batches = 0;          // batch runs that did not complete
-  u64 hart_faults = 0;             // injected ISS faults applied, all batches
-  u64 ecc_corrected = 0;           // SECDED single-bit upsets scrubbed
-  u64 ecc_detected = 0;            // double-bit upsets detected (corrupting)
-  u64 ecc_silent = 0;              // ECC-off upsets (silent corruption)
+  TSIM_SLOT_FAULT_COUNTERS(TSIM_U64_COUNTER)  // summed over the batches
 
   double ber() const {
     return bits == 0 ? 0.0 : static_cast<double>(errors) / static_cast<double>(bits);

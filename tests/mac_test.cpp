@@ -301,56 +301,6 @@ TEST(FarmTest, TotalSumsCounters) {
   EXPECT_EQ(t.ues, cfg.cells * cfg.ues_per_cell);
 }
 
-TEST(FarmTest, TotalSemanticsOnHandBuiltReports) {
-  // Pin which fields sum and which take the worst cell: cells run on
-  // independent hardware, so timing percentiles are max'd while every
-  // counter - including soft-buffer peaks (farm-wide memory provisioning)
-  // and the fault/timeout counters - sums.
-  CellReport a, b;
-  a.cell = 0;
-  a.ttis = 24;
-  a.p50_cycles = 10;
-  a.p99_cycles = 20;
-  a.worst_cycles = 30;
-  a.harq.soft_buffer_peak_bits = 1000;
-  a.harq.timeouts = 3;
-  a.hart_faults = 2;
-  a.ecc_corrected = 1;
-  a.ecc_detected = 3;
-  a.ecc_silent = 1;
-  a.dropped_ind = 2;
-  a.degraded_slots = 4;
-  b.cell = 1;
-  b.ttis = 16;
-  b.p50_cycles = 15;
-  b.p99_cycles = 18;
-  b.worst_cycles = 25;
-  b.harq.soft_buffer_peak_bits = 500;
-  b.harq.timeouts = 4;
-  b.hart_faults = 5;
-  b.ecc_corrected = 2;
-  b.ecc_silent = 1;
-  b.dropped_ind = 1;
-  b.delayed_ind = 2;
-  b.degraded_slots = 1;
-  FarmResult r;
-  r.cells = {a, b};
-  const CellReport t = r.total();
-  EXPECT_EQ(t.ttis, 24u);          // max: cells ran concurrently
-  EXPECT_EQ(t.p50_cycles, 15u);    // max over per-cell percentiles
-  EXPECT_EQ(t.p99_cycles, 20u);
-  EXPECT_EQ(t.worst_cycles, 30u);
-  EXPECT_EQ(t.harq.soft_buffer_peak_bits, 1500u);  // sum
-  EXPECT_EQ(t.harq.timeouts, 7u);
-  EXPECT_EQ(t.hart_faults, 7u);
-  EXPECT_EQ(t.ecc_corrected, 3u);
-  EXPECT_EQ(t.ecc_detected, 3u);
-  EXPECT_EQ(t.ecc_silent, 2u);
-  EXPECT_EQ(t.dropped_ind, 3u);
-  EXPECT_EQ(t.delayed_ind, 2u);
-  EXPECT_EQ(t.degraded_slots, 5u);
-}
-
 // ------------------------------------------------------ supervisor/faults ---
 
 TEST(FarmSupervisorTest, CrashedShardIsRetriedToTheCleanResult) {
@@ -479,17 +429,14 @@ TEST(FarmWireFormatTest, ReportRowRoundTrips) {
   EXPECT_TRUE(cell_report_from_row(pairs) == rep);
 }
 
-TEST(FarmWireFormatTest, JsonPipeRoundTripsThroughParser) {
-  // The exact writer/parser pair the shard gather uses, including the
-  // multi-row comma path.
-  const FarmConfig cfg = tiny_farm();
-  std::vector<CellReport> reps = {run_cell(cfg, 0), run_cell(cfg, 1),
-                                  run_cell(cfg, 3)};
+/// Reports sent through the exact writer/parser pair the shard gather uses.
+std::vector<std::vector<std::pair<std::string, std::string>>> pipe_round_trip(
+    const std::vector<CellReport>& reps) {
   std::vector<std::vector<std::string>> rows;
   for (const CellReport& r : reps) rows.push_back(cell_report_row(r));
-
   std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
   sim::write_json_rows(f, cell_report_header(), rows);
   std::rewind(f);
   std::string text;
@@ -499,7 +446,16 @@ TEST(FarmWireFormatTest, JsonPipeRoundTripsThroughParser) {
   std::fclose(f);
 
   std::vector<std::vector<std::pair<std::string, std::string>>> parsed;
-  ASSERT_TRUE(sim::parse_json_rows(text, parsed));
+  EXPECT_TRUE(sim::parse_json_rows(text, parsed));
+  return parsed;
+}
+
+TEST(FarmWireFormatTest, JsonPipeRoundTripsThroughParser) {
+  // Includes the multi-row comma path.
+  const FarmConfig cfg = tiny_farm();
+  std::vector<CellReport> reps = {run_cell(cfg, 0), run_cell(cfg, 1),
+                                  run_cell(cfg, 3)};
+  const auto parsed = pipe_round_trip(reps);
   ASSERT_EQ(parsed.size(), reps.size());
   for (size_t i = 0; i < reps.size(); ++i)
     EXPECT_TRUE(cell_report_from_row(parsed[i]) == reps[i]) << "row " << i;
@@ -518,9 +474,78 @@ TEST(FarmWireFormatTest, ParserRejectsMalformedInput) {
   EXPECT_EQ(rows[1][0].second, "2");
 }
 
+/// A wire row whose column i holds value (i + 1) * scale: every column its
+/// own non-zero value.
+std::vector<std::pair<std::string, std::string>> distinct_row(u64 scale = 1) {
+  std::vector<std::pair<std::string, std::string>> row;
+  const std::vector<std::string> header = cell_report_header();
+  for (size_t i = 0; i < header.size(); ++i)
+    row.emplace_back(header[i], std::to_string((i + 1) * scale));
+  return row;
+}
+
 TEST(FarmWireFormatTest, MissingFieldThrows) {
   EXPECT_THROW(cell_report_from_row({{"cell", "0"}}), SimError);
   EXPECT_THROW(cell_report_from_row({{"cell", "abc"}}), SimError);
+
+  // Rows come through a worker pipe: a value must be plain decimal digits
+  // that fit the column's member, never wrapped, saturated or trimmed.
+  const auto with = [](const std::string& key, const std::string& value) {
+    auto row = distinct_row();
+    for (auto& [k, v] : row)
+      if (k == key) v = value;
+    return row;
+  };
+  EXPECT_NO_THROW(cell_report_from_row(distinct_row()));
+  EXPECT_EQ(cell_report_from_row(with("cell", "4294967295")).cell, 4294967295u);
+  EXPECT_EQ(cell_report_from_row(with("retx", "18446744073709551615")).harq.retx,
+            18446744073709551615ull);
+  for (const char* bad : {"-1", " 7", "7 ", "+7", "", "0x7", "99999999999999999999999"})
+    EXPECT_THROW(cell_report_from_row(with("retx", bad)), SimError) << "'" << bad << "'";
+  EXPECT_THROW(cell_report_from_row(with("cell", "4294967297")), SimError);
+  EXPECT_THROW(cell_report_from_row(with("ttis", "-1")), SimError);
+}
+
+TEST(FarmWireFormatTest, EveryColumnRoundTripsAndMerges) {
+  const std::vector<std::string> header = cell_report_header();
+  const auto values = [](const CellReport& rep) {
+    std::vector<u64> out;
+    for (const std::string& v : cell_report_row(rep)) out.push_back(std::stoull(v));
+    return out;
+  };
+  const CellReport rep = cell_report_from_row(distinct_row());
+  const std::vector<u64> vals = values(rep);
+  ASSERT_EQ(vals.size(), header.size());
+  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(vals[i], i + 1) << header[i];
+
+  const auto parsed = pipe_round_trip({rep});
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_TRUE(cell_report_from_row(parsed[0]) == rep);
+
+  // Equality sees every column.
+  for (size_t i = 0; i < header.size(); ++i) {
+    auto row = distinct_row();
+    row[i].second += "0";  // ten times the value
+    EXPECT_FALSE(cell_report_from_row(row) == rep) << header[i];
+  }
+
+  // total(): cells run on independent hardware, so the timing columns take
+  // the worst cell while every counter - soft-buffer peaks (farm-wide memory
+  // provisioning) and the fault/timeout counters included - sums. The cell
+  // id is dropped.
+  FarmResult farm;
+  farm.cells = {rep, cell_report_from_row(distinct_row(100))};
+  const std::vector<u64> total = values(farm.total());
+  for (size_t i = 0; i < header.size(); ++i) {
+    const std::string& col = header[i];
+    const u64 a = i + 1, b = (i + 1) * 100;
+    const u64 want = col == "cell" ? 0
+                     : (col == "ttis" || col == "worst_cycles" ||
+                        col == "p50_cycles" || col == "p99_cycles")
+                         ? std::max(a, b)
+                         : a + b;
+    EXPECT_EQ(total[i], want) << col;
+  }
 }
 
 // ------------------------------------------------------------------ FAPI ---
