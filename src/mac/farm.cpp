@@ -104,10 +104,11 @@ CellReport FarmResult::total() const {
   CellReport t;
   for (const CellReport& c : cells) {
 #define TSIM_MERGE(type, name, merge) merge_column<ColumnMerge::merge>(t.name, c.name);
-#define TSIM_MERGE_HARQ(wire, member) t.harq.member += c.harq.member;
-    TSIM_CELL_REPORT_COLUMNS(TSIM_MERGE, TSIM_MERGE_HARQ)
+#define TSIM_MERGE_SKIP(wire, member)
+    TSIM_CELL_REPORT_COLUMNS(TSIM_MERGE, TSIM_MERGE_SKIP)
 #undef TSIM_MERGE
-#undef TSIM_MERGE_HARQ
+#undef TSIM_MERGE_SKIP
+    t.harq += c.harq;
   }
   return t;
 }

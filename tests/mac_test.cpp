@@ -301,6 +301,56 @@ TEST(FarmTest, TotalSumsCounters) {
   EXPECT_EQ(t.ues, cfg.cells * cfg.ues_per_cell);
 }
 
+TEST(FarmTest, TotalSemanticsOnHandBuiltReports) {
+  // Pin which fields sum and which take the worst cell: cells run on
+  // independent hardware, so timing percentiles are max'd while every
+  // counter - including soft-buffer peaks (farm-wide memory provisioning)
+  // and the fault/timeout counters - sums.
+  CellReport a, b;
+  a.cell = 0;
+  a.ttis = 24;
+  a.p50_cycles = 10;
+  a.p99_cycles = 20;
+  a.worst_cycles = 30;
+  a.harq.soft_buffer_peak_bits = 1000;
+  a.harq.timeouts = 3;
+  a.hart_faults = 2;
+  a.ecc_corrected = 1;
+  a.ecc_detected = 3;
+  a.ecc_silent = 1;
+  a.dropped_ind = 2;
+  a.degraded_slots = 4;
+  b.cell = 1;
+  b.ttis = 16;
+  b.p50_cycles = 15;
+  b.p99_cycles = 18;
+  b.worst_cycles = 25;
+  b.harq.soft_buffer_peak_bits = 500;
+  b.harq.timeouts = 4;
+  b.hart_faults = 5;
+  b.ecc_corrected = 2;
+  b.ecc_silent = 1;
+  b.dropped_ind = 1;
+  b.delayed_ind = 2;
+  b.degraded_slots = 1;
+  FarmResult r;
+  r.cells = {a, b};
+  const CellReport t = r.total();
+  EXPECT_EQ(t.ttis, 24u);          // max: cells ran concurrently
+  EXPECT_EQ(t.p50_cycles, 15u);    // max over per-cell percentiles
+  EXPECT_EQ(t.p99_cycles, 20u);
+  EXPECT_EQ(t.worst_cycles, 30u);
+  EXPECT_EQ(t.harq.soft_buffer_peak_bits, 1500u);  // sum
+  EXPECT_EQ(t.harq.timeouts, 7u);
+  EXPECT_EQ(t.hart_faults, 7u);
+  EXPECT_EQ(t.ecc_corrected, 3u);
+  EXPECT_EQ(t.ecc_detected, 3u);
+  EXPECT_EQ(t.ecc_silent, 2u);
+  EXPECT_EQ(t.dropped_ind, 3u);
+  EXPECT_EQ(t.delayed_ind, 2u);
+  EXPECT_EQ(t.degraded_slots, 5u);
+}
+
 // ------------------------------------------------------ supervisor/faults ---
 
 TEST(FarmSupervisorTest, CrashedShardIsRetriedToTheCleanResult) {
@@ -533,18 +583,24 @@ TEST(FarmWireFormatTest, EveryColumnRoundTripsAndMerges) {
   // the worst cell while every counter - soft-buffer peaks (farm-wide memory
   // provisioning) and the fault/timeout counters included - sums. The cell
   // id is dropped.
-  FarmResult farm;
-  farm.cells = {rep, cell_report_from_row(distinct_row(100))};
-  const std::vector<u64> total = values(farm.total());
-  for (size_t i = 0; i < header.size(); ++i) {
-    const std::string& col = header[i];
-    const u64 a = i + 1, b = (i + 1) * 100;
-    const u64 want = col == "cell" ? 0
-                     : (col == "ttis" || col == "worst_cycles" ||
-                        col == "p50_cycles" || col == "p99_cycles")
-                         ? std::max(a, b)
-                         : a + b;
-    EXPECT_EQ(total[i], want) << col;
+  // Both cell orders, so the larger value of every max column also comes
+  // first once: a merge that keeps the last cell's value fails.
+  const CellReport big = cell_report_from_row(distinct_row(100));
+  for (const std::vector<CellReport>& cells :
+       {std::vector<CellReport>{rep, big}, std::vector<CellReport>{big, rep}}) {
+    FarmResult farm;
+    farm.cells = cells;
+    const std::vector<u64> total = values(farm.total());
+    for (size_t i = 0; i < header.size(); ++i) {
+      const std::string& col = header[i];
+      const u64 a = i + 1, b = (i + 1) * 100;
+      const u64 want = col == "cell" ? 0
+                       : (col == "ttis" || col == "worst_cycles" ||
+                          col == "p50_cycles" || col == "p99_cycles")
+                           ? std::max(a, b)
+                           : a + b;
+      EXPECT_EQ(total[i], want) << col << (cells[0] == rep ? "" : " (reversed)");
+    }
   }
 }
 
