@@ -20,6 +20,9 @@
 //   avg_run        mean superblock run length swept in lockstep
 // The batch-heavy repeat loop (reset_harts + run) is exactly the slot
 // scheduler's batch pattern, so these rows predict scheduler throughput.
+// The sweep starts at 4 and 8 harts to bracket Machine::kMinBatchWidth: at 4
+// harts no batch forms, so both rows take the serial path (lockstep_frac 0),
+// and 8 harts is the narrowest point where the lockstep sweep runs.
 //
 // --guard: A/B regression guard for CI. Exits non-zero when the batched
 // path's simulated MIPS falls below 1.25x the serial path at the largest
@@ -148,7 +151,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<u32> core_counts = {16, 64, 256};
+  std::vector<u32> core_counts = {4, 8, 16, 64, 256};
   if (opt.full && max_fit > 256) core_counts.push_back(std::min(max_fit, 1024u));
   if (thread_counts.empty()) {
     thread_counts.push_back(1);

@@ -653,10 +653,11 @@ u64 Machine::exec_quantum_traced(u32 hart_index, u64 budget, TurnEnd& end) {
 }
 
 u32 Machine::scan_convergent(const std::vector<u32>& list, size_t pos, u32 limit) const {
+  if (limit < kMinBatchWidth) return 1;
   const u32 pc = soa_.pc[list[pos]];
   u32 width = 1;
   while (width < limit && soa_.pc[list[pos + width]] == pc) ++width;
-  return width;
+  return width >= kMinBatchWidth ? width : 1;
 }
 
 u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
@@ -1183,11 +1184,11 @@ RunResult Machine::run(u64 max_instructions) {
     // force the serial oracle: exact instret boundaries, no replay.
     u32 width = 1;
     if (batching_ && !trace_ && !faults_armed_ && budget == kQuantum &&
-        st_awake_.size() - st_pos_ >= 2) {
+        st_awake_.size() - st_pos_ >= kMinBatchWidth) {
       u64 limit = std::min<u64>(kMaxBatchWidth, st_awake_.size() - st_pos_);
       if (max_instructions != 0)
         limit = std::min<u64>(limit, (max_instructions - executed) / kQuantum);
-      if (limit >= 2) width = scan_convergent(st_awake_, st_pos_, static_cast<u32>(limit));
+      width = scan_convergent(st_awake_, st_pos_, static_cast<u32>(limit));
     }
 
     if (width >= 2) {
@@ -1365,7 +1366,7 @@ RunResult Machine::run_threads(u32 n_threads, u64 max_instructions) {
         // a full width*kQuantum claim from the shared budget pool, so the
         // pool tail is always consumed by serial turns.
         u32 width = 1;
-        if (batching_ && awake_list.size() - pos >= 2) {
+        if (batching_ && awake_list.size() - pos >= kMinBatchWidth) {
           const u64 limit = std::min<u64>(kMaxBatchWidth, awake_list.size() - pos);
           width = scan_convergent(awake_list, pos, static_cast<u32>(limit));
         }

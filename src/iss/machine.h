@@ -54,8 +54,8 @@
 // The DUT workloads are SPMD: every hart of a cluster runs the same kernel
 // and re-converges at barriers, so at a scheduling-pass boundary most awake
 // harts sit at the *same pc*. Both run modes exploit this: when the next
-// `kMaxBatchWidth` (or fewer) consecutive harts of the sorted run list share
-// a pc, they form a *convergence batch* and the dispatcher executes the
+// `kMinBatchWidth` to `kMaxBatchWidth` consecutive harts of the run list
+// share a pc, they form a *convergence batch* and the dispatcher executes the
 // shared superblock instruction-major, hart-minor - one translation lookup
 // and one predecoded-metadata read per SbEntry per *batch* instead of per
 // hart. The member sweep dispatches on the (loop-invariant) opcode ONCE per
@@ -77,11 +77,13 @@
 // serial path retires timing before the halted check) and drop out after.
 //
 // Batch invariants (the serial path stays the bit-exactness oracle):
-//  - A batch FORMS only from consecutive entries of the run list, all at one
-//    pc, each with a full quantum available (under a max_instructions budget
-//    a batch needs width*quantum headroom, so the budget cut always lands on
-//    a serial turn). Formation order equals list order equals serial visit
-//    order.
+//  - A batch FORMS only from at least `kMinBatchWidth` consecutive entries
+//    of the run list, all at one pc, each with a full quantum available
+//    (under a max_instructions budget a batch needs width*quantum headroom,
+//    so the budget cut always lands on a serial turn). A narrower same-pc
+//    run takes ordinary serial turns: below that width the leader trace and
+//    replay bookkeeping cost more than the shared lookups save. Formation
+//    order equals list order equals serial visit order.
 //  - The first member is the LEADER: it takes an ordinary serial turn
 //    (exec_quantum, with the scan position parked on it, so its barrier
 //    wakes, parks, and exits behave byte-for-byte like an unbatched turn)
@@ -124,7 +126,8 @@
 // and the differential tests in iss_test/threading_test enforce exact
 // equality of cycles, registers, stalls, and wake timestamps on the
 // barrier+MMSE and deadlock workloads. run_threads() batches per shard, so
-// a convergence group spanning a shard boundary simply splits at it.
+// a convergence group spanning a shard boundary simply splits at it (and a
+// piece narrower than `kMinBatchWidth` runs serially).
 #pragma once
 
 #include <atomic>
@@ -154,7 +157,7 @@ struct RunResult {
 struct BatchStats {
   u64 lockstep_instructions = 0;  // retired inside lockstep sweeps
   u64 serial_instructions = 0;    // retired by the serial path (incl. finishes)
-  u64 batches = 0;                // lockstep turns entered (width >= 2)
+  u64 batches = 0;                // lockstep turns entered (width >= kMinBatchWidth)
   u64 width_sum = 0;              // formation widths, summed
   u64 width_max = 0;
   u64 runs = 0;                   // superblock sweeps executed in lockstep
@@ -228,6 +231,10 @@ class Machine {
   /// Harts per convergence batch, capped to bound the lockstep working set
   /// (member state must stay L1-resident across an instruction sweep).
   static constexpr u32 kMaxBatchWidth = 64;
+  /// Narrowest convergence batch. A same-pc run of fewer harts takes serial
+  /// turns: measured on a staged MMSE batch, lockstep ran at 0.6x serial
+  /// speed at 2 harts, 0.9x at 4, and first won (1.1x) at 8.
+  static constexpr u32 kMinBatchWidth = 8;
 
   /// Enables/disables the convergence-batched SPMD dispatch (default on).
   /// The serial path is the bit-exactness oracle; disabling it is for A/B
@@ -369,7 +376,8 @@ class Machine {
                             const std::vector<TraceRun>& trace, BatchEnd* ends,
                             u64* rems, BatchStats& stats);
   /// Width of the convergence batch at `list[pos..]`: consecutive harts at
-  /// the same pc, capped at `limit`.
+  /// the same pc, capped at `limit`; 1 (a serial turn) when that run, or
+  /// `limit`, is narrower than kMinBatchWidth.
   u32 scan_convergent(const std::vector<u32>& list, size_t pos, u32 limit) const;
   /// Shared member-reconcile of a convergence-batch turn (both run modes):
   /// walks the members in formation (= serial visit) order, re-locating

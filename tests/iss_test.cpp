@@ -17,8 +17,10 @@ rvasm::Program prog(const std::string& text) { return rvasm::assemble(text); }
 /// Convenience: machine with N harts on the tiny cluster. (Machine holds
 /// atomics, so it is neither movable nor copyable - heap-allocate it.)
 std::unique_ptr<Machine> make_machine(const std::string& text, u32 harts = 1,
-                                      TimingConfig t = {}) {
-  auto m = std::make_unique<Machine>(tera::TeraPoolConfig::tiny(), t, harts);
+                                      TimingConfig t = {},
+                                      const tera::TeraPoolConfig& cluster =
+                                          tera::TeraPoolConfig::tiny()) {
+  auto m = std::make_unique<Machine>(cluster, t, harts);
   m->load_program(prog(text));
   return m;
 }
@@ -219,6 +221,15 @@ const char* kParallelSum = R"(
       j park
 )";
 
+/// The kParallelSum barrier program generalized to `nharts` harts.
+std::string parallel_sum(u32 nharts) {
+  std::string body(kParallelSum);
+  const auto pos = body.find("li t6, 3");
+  EXPECT_NE(pos, std::string::npos);
+  body.replace(pos, 8, "li t6, " + std::to_string(nharts - 1));
+  return body;
+}
+
 TEST(IssMultiHart, BarrierAndSharedMemory) {
   Machine m(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
   m.load_program(prog(kParallelSum));
@@ -374,19 +385,20 @@ TEST(Iss, ScWakeTimestampsMatchTracedReference) {
       wfi
       j park
   )";
-  auto fast = make_machine(body, 2);
+  auto fast = make_machine(body, Machine::kMinBatchWidth);
   const auto rf = fast->run();
-  auto ref = make_machine(body, 2);
+  auto ref = make_machine(body, Machine::kMinBatchWidth);
   ref->set_trace([](u32, u32, const rv::Decoded&) {});
   const auto rr = ref->run();
   ASSERT_TRUE(rf.exited);
   ASSERT_TRUE(rr.exited);
-  for (u32 h = 0; h < 2; ++h) {
+  for (u32 h = 0; h < Machine::kMinBatchWidth; ++h) {
     EXPECT_EQ(fast->hart(h).cycles(), ref->hart(h).cycles()) << "hart " << h;
     EXPECT_EQ(fast->hart(h).wfi_stall_cycles, ref->hart(h).wfi_stall_cycles)
         << "hart " << h;
   }
   EXPECT_GT(fast->hart(0).wfi_stall_cycles, 0u);
+  EXPECT_GT(fast->batch_stats().batches, 0u);
 }
 
 // ----- resident-program cache -----
@@ -517,14 +529,15 @@ void expect_harts_identical(const Machine& a, const Machine& b) {
 }
 
 TEST(IssBatch, BatchedMatchesSerialOnBarrierWorkload) {
-  Machine batched(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
+  constexpr u32 kHarts = Machine::kMinBatchWidth;
+  Machine batched(tera::TeraPoolConfig::tiny(), TimingConfig{}, kHarts);
   ASSERT_TRUE(batched.batching());  // default on
-  batched.load_program(prog(kParallelSum));
+  batched.load_program(prog(parallel_sum(kHarts)));
   const auto rb = batched.run();
 
-  Machine serial(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
+  Machine serial(tera::TeraPoolConfig::tiny(), TimingConfig{}, kHarts);
   serial.set_batching(false);
-  serial.load_program(prog(kParallelSum));
+  serial.load_program(prog(parallel_sum(kHarts)));
   const auto rs = serial.run();
 
   ASSERT_TRUE(rb.exited);
@@ -532,22 +545,23 @@ TEST(IssBatch, BatchedMatchesSerialOnBarrierWorkload) {
   EXPECT_EQ(rb.exit_code, rs.exit_code);
   EXPECT_EQ(rb.instructions, rs.instructions);
   expect_harts_identical(batched, serial);
-  // The four harts really did run in lockstep.
+  // All eight harts really did run in lockstep.
   EXPECT_GT(batched.batch_stats().batches, 0u);
-  EXPECT_EQ(batched.batch_stats().width_max, 4u);
+  EXPECT_EQ(batched.batch_stats().width_max, kHarts);
   EXPECT_EQ(serial.batch_stats().batches, 0u);
 }
 
 TEST(IssBatch, BatchedMatchesSerialOnDeadlockWorkload) {
-  auto batched = make_machine("_start:\n wfi\n j _start\n", 4);
+  auto batched = make_machine("_start:\n wfi\n j _start\n", Machine::kMinBatchWidth);
   const auto rb = batched->run();
-  auto serial = make_machine("_start:\n wfi\n j _start\n", 4);
+  auto serial = make_machine("_start:\n wfi\n j _start\n", Machine::kMinBatchWidth);
   serial->set_batching(false);
   const auto rs = serial->run();
   EXPECT_TRUE(rb.deadlock);
   EXPECT_TRUE(rs.deadlock);
   EXPECT_EQ(rb.instructions, rs.instructions);
   expect_harts_identical(*batched, *serial);
+  EXPECT_GT(batched->batch_stats().batches, 0u);
 }
 
 TEST(IssBatch, SingleHartNeverBatches) {
@@ -560,39 +574,29 @@ TEST(IssBatch, SingleHartNeverBatches) {
 TEST(IssBatch, FullyDivergentPcsFallBackToSerial) {
   // Harts branch to per-hart infinite loops: after the first pass no two
   // awake harts share a pc, so batches stop forming and every turn takes
-  // the serial path - results must stay bit-exact under a budget cut.
-  const char* body = R"(
-    _start:
-      csrr t0, mhartid
-      li t1, 1
-      beq t0, t1, loop1
-      li t1, 2
-      beq t0, t1, loop2
-      li t1, 3
-      beq t0, t1, loop3
-    loop0:
-      addi s0, s0, 1
-      j loop0
-    loop1:
-      addi s1, s1, 2
-      j loop1
-    loop2:
-      addi s2, s2, 3
-      j loop2
-    loop3:
-      addi s3, s3, 4
-      j loop3
-  )";
-  auto batched = make_machine(body, 4);
-  const auto rb = batched->run(2000);
-  auto serial = make_machine(body, 4);
+  // the serial path - results must stay bit-exact under a budget cut. The
+  // budget leaves the first pass a full quantum per hart, so it batches.
+  constexpr u32 kHarts = Machine::kMinBatchWidth;
+  std::string body = "_start:\n  csrr t0, mhartid\n";
+  for (u32 h = 1; h < kHarts; ++h)
+    body += "  li t1, " + std::to_string(h) + "\n  beq t0, t1, loop" + std::to_string(h) + "\n";
+  for (u32 h = 0; h < kHarts; ++h) {
+    const std::string s = "s" + std::to_string(h);
+    body += "loop" + std::to_string(h) + ":\n  addi " + s + ", " + s + ", " +
+            std::to_string(h + 1) + "\n  j loop" + std::to_string(h) + "\n";
+  }
+  constexpr u64 kBudget = 5000;
+  auto batched = make_machine(body, kHarts);
+  const auto rb = batched->run(kBudget);
+  auto serial = make_machine(body, kHarts);
   serial->set_batching(false);
-  const auto rs = serial->run(2000);
-  EXPECT_EQ(rb.instructions, 2000u);
-  EXPECT_EQ(rs.instructions, 2000u);
+  const auto rs = serial->run(kBudget);
+  EXPECT_EQ(rb.instructions, kBudget);
+  EXPECT_EQ(rs.instructions, kBudget);
   expect_harts_identical(*batched, *serial);
   // Divergence was actually exercised (first-turn batch split on the
   // hartid branches), and the budget cut landed on a serial turn.
+  EXPECT_GT(batched->batch_stats().batches, 0u);
   EXPECT_GT(batched->batch_stats().split_divergence, 0u);
 }
 
@@ -603,9 +607,9 @@ TEST(IssBatch, MidSuperblockQuantumExpiryInsideBatch) {
   std::string body = "_start:\n";
   for (int i = 0; i < 300; ++i) body += "  addi t1, t1, 1\n";
   body += "  li t2, 0x40000000\n  sw t1, 0(t2)\n";
-  auto batched = make_machine(body, 4);
+  auto batched = make_machine(body, Machine::kMinBatchWidth);
   const auto rb = batched->run();
-  auto serial = make_machine(body, 4);
+  auto serial = make_machine(body, Machine::kMinBatchWidth);
   serial->set_batching(false);
   const auto rs = serial->run();
   ASSERT_TRUE(rb.exited);
@@ -615,6 +619,7 @@ TEST(IssBatch, MidSuperblockQuantumExpiryInsideBatch) {
   expect_harts_identical(*batched, *serial);
   // The replay consumed whole quanta (trace exhausted at the budget), so
   // the batch really did span a superblock boundary cut.
+  EXPECT_GT(batched->batch_stats().batches, 0u);
   EXPECT_GT(batched->batch_stats().split_budget, 0u);
   EXPECT_GT(batched->batch_stats().avg_run_length(), 100.0);
 }
@@ -622,24 +627,31 @@ TEST(IssBatch, MidSuperblockQuantumExpiryInsideBatch) {
 TEST(IssBatch, BudgetedRunsAreExactAndIdenticalToSerial) {
   // max_instructions semantics must be untouched by batching: the exact
   // same instruction count retires, and per-hart state matches bit for bit
-  // (a batch only forms with full-quantum headroom for every member).
-  auto batched = make_machine("_start:\n j _start\n", 4);
-  const auto rb = batched->run(1000);
-  auto serial = make_machine("_start:\n j _start\n", 4);
+  // (a batch only forms with full-quantum headroom for every member). The
+  // budget covers 10 of the 16 harts' first quanta, so the first batch is
+  // cut to 10 members by its headroom, not by the hart count.
+  constexpr u32 kHarts = 2 * Machine::kMinBatchWidth;
+  constexpr u64 kBudget = 2600;
+  auto batched = make_machine("_start:\n j _start\n", kHarts);
+  const auto rb = batched->run(kBudget);
+  auto serial = make_machine("_start:\n j _start\n", kHarts);
   serial->set_batching(false);
-  const auto rs = serial->run(1000);
-  EXPECT_EQ(rb.instructions, 1000u);
-  EXPECT_EQ(rs.instructions, 1000u);
+  const auto rs = serial->run(kBudget);
+  EXPECT_EQ(rb.instructions, kBudget);
+  EXPECT_EQ(rs.instructions, kBudget);
   EXPECT_FALSE(rb.exited);
   expect_harts_identical(*batched, *serial);
+  EXPECT_GT(batched->batch_stats().batches, 0u);
+  EXPECT_EQ(batched->batch_stats().width_max, 10u);
 
   // run_threads shares the budget pool across shards; batched turns claim
   // width*quantum and must never overshoot either.
-  auto mt = make_machine("_start:\n j _start\n", 4);
-  const auto rt = mt->run_threads(2, 1000);
-  EXPECT_EQ(rt.instructions, 1000u);
+  auto mt = make_machine("_start:\n j _start\n", kHarts);
+  const auto rt = mt->run_threads(2, kBudget);
+  EXPECT_EQ(rt.instructions, kBudget);
   EXPECT_FALSE(rt.exited);
   EXPECT_FALSE(rt.deadlock);
+  EXPECT_GT(mt->batch_stats().batches, 0u);
 }
 
 TEST(IssBatch, ScWakeTimestampsMatchSerial) {
@@ -661,39 +673,116 @@ TEST(IssBatch, ScWakeTimestampsMatchSerial) {
       wfi
       j park
   )";
-  auto batched = make_machine(body, 2);
+  auto batched = make_machine(body, Machine::kMinBatchWidth);
   const auto rb = batched->run();
-  auto serial = make_machine(body, 2);
+  auto serial = make_machine(body, Machine::kMinBatchWidth);
   serial->set_batching(false);
   const auto rs = serial->run();
   ASSERT_TRUE(rb.exited);
   ASSERT_TRUE(rs.exited);
   expect_harts_identical(*batched, *serial);
   EXPECT_GT(batched->hart(0).wfi_stall_cycles, 0u);
+  EXPECT_GT(batched->batch_stats().batches, 0u);
+}
+
+TEST(IssBatch, NarrowGroupsTakeSerialTurns) {
+  // Machine::kMinBatchWidth gates batch formation: a same-pc run of fewer
+  // harts takes ordinary serial turns, so it never forms a batch and stays
+  // bit-exact with the serial oracle.
+  constexpr u32 kMin = Machine::kMinBatchWidth;
+  {
+    SCOPED_TRACE("one hart below the minimum width");
+    auto narrow = make_machine(parallel_sum(kMin - 1), kMin - 1);
+    auto serial = make_machine(parallel_sum(kMin - 1), kMin - 1);
+    serial->set_batching(false);
+    const auto rn = narrow->run();
+    const auto rs = serial->run();
+    ASSERT_TRUE(rn.exited && rs.exited);
+    EXPECT_EQ(rn.instructions, rs.instructions);
+    EXPECT_EQ(narrow->batch_stats().batches, 0u);
+    EXPECT_EQ(narrow->batch_stats().lockstep_instructions, 0u);
+    expect_harts_identical(*narrow, *serial);
+  }
+  {
+    SCOPED_TRACE("exactly the minimum width");
+    auto m = make_machine(parallel_sum(kMin), kMin);
+    ASSERT_TRUE(m->run().exited);
+    EXPECT_GT(m->batch_stats().batches, 0u);
+    EXPECT_EQ(m->batch_stats().width_max, kMin);
+  }
+  {
+    // Sixteen harts split by mhartid into a group of 12 and a group of 4.
+    // Both loops outlast a quantum, so the groups re-converge at their own
+    // pcs: the 12 re-form a batch each turn and the 4 take serial turns.
+    // Under run_threads(2) the shards are harts 0-7 and 8-15, so only the
+    // first shard's turns after the split are wide enough to batch.
+    SCOPED_TRACE("groups of 12 and 4");
+    const char* body = R"(
+      _start:
+        csrr t0, mhartid
+        li t1, 12
+        bgeu t0, t1, small
+        li t2, 300
+      loop_a:
+        addi s0, s0, 3
+        mul s1, s0, t0
+        addi t2, t2, -1
+        bnez t2, loop_a
+        ebreak
+      small:
+        li t2, 200
+      loop_b:
+        xor s0, s0, t0
+        addi s0, s0, 5
+        addi t2, t2, -1
+        bnez t2, loop_b
+        ebreak
+    )";
+    constexpr u32 kHarts = 16;
+    auto serial = make_machine(body, kHarts);
+    serial->set_batching(false);
+    const auto rs = serial->run();
+    auto batched = make_machine(body, kHarts);
+    const auto rb = batched->run();
+    auto sharded = make_machine(body, kHarts);
+    const auto rt = sharded->run_threads(2);
+    EXPECT_EQ(rb.instructions, rs.instructions);
+    EXPECT_EQ(rt.instructions, rs.instructions);
+    expect_harts_identical(*batched, *serial);
+    expect_harts_identical(*sharded, *serial);
+    for (const Machine* m : {batched.get(), sharded.get()}) {
+      const BatchStats& st = m->batch_stats();
+      EXPECT_GT(st.batches, 0u);
+      for (u32 w = 0; w < kMin && w < st.width_hist.size(); ++w)
+        EXPECT_EQ(st.width_hist[w], 0u) << "width " << w;
+    }
+  }
 }
 
 TEST(Iss, SuperblockFastPathMatchesTracedReferenceOnBarriers) {
   // The wfi/wake-heavy barrier program, fast path vs the per-instruction
   // reference path (forced by a no-op trace hook): registers, instruction
   // counts, and cycle counts must be bit-identical.
-  Machine fast(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
-  fast.load_program(prog(kParallelSum));
+  constexpr u32 kHarts = Machine::kMinBatchWidth;
+  Machine fast(tera::TeraPoolConfig::tiny(), TimingConfig{}, kHarts);
+  fast.load_program(prog(parallel_sum(kHarts)));
   const auto rf = fast.run();
 
-  Machine ref(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
+  Machine ref(tera::TeraPoolConfig::tiny(), TimingConfig{}, kHarts);
   ref.set_trace([](u32, u32, const rv::Decoded&) {});
-  ref.load_program(prog(kParallelSum));
+  ref.load_program(prog(parallel_sum(kHarts)));
   const auto rr = ref.run();
 
   EXPECT_TRUE(rf.exited);
   EXPECT_TRUE(rr.exited);
   EXPECT_EQ(rf.exit_code, rr.exit_code);
   EXPECT_EQ(rf.instructions, rr.instructions);
-  for (u32 h = 0; h < 4; ++h) {
+  for (u32 h = 0; h < kHarts; ++h) {
     EXPECT_EQ(fast.hart(h).cycles(), ref.hart(h).cycles()) << "hart " << h;
     EXPECT_EQ(fast.hart(h).instructions(), ref.hart(h).instructions()) << "hart " << h;
     EXPECT_EQ(fast.hart(h).state.x, ref.hart(h).state.x) << "hart " << h;
   }
+  EXPECT_GT(fast.batch_stats().batches, 0u);
 }
 
 // ----- SoA hart-state layout (see hart.h) -----
@@ -703,15 +792,6 @@ TEST(Iss, SuperblockFastPathMatchesTracedReferenceOnBarriers) {
 // and the per-instruction traced reference across the state transitions the
 // column passes handle specially (divergence splits, park/wake, budget
 // cuts, shard boundaries, generic-op fallbacks).
-
-/// The kParallelSum barrier program generalized to `nharts` harts.
-std::string parallel_sum(u32 nharts) {
-  std::string body(kParallelSum);
-  const auto pos = body.find("li t6, 3");
-  EXPECT_NE(pos, std::string::npos);
-  body.replace(pos, 8, "li t6, " + std::to_string(nharts - 1));
-  return body;
-}
 
 /// Hart-for-hart equality including the 32-entry RAW scoreboard snapshot.
 void expect_scoreboards_identical(const Machine& a, const Machine& b) {
@@ -734,15 +814,16 @@ TEST(IssSoa, ScoreboardSnapshotMatchesTracedReference) {
       sw t3, 4(t0)
       ebreak
   )";
-  auto fast = make_machine(body, 2);
+  auto fast = make_machine(body, Machine::kMinBatchWidth);
   fast->run();
-  auto ref = make_machine(body, 2);
+  auto ref = make_machine(body, Machine::kMinBatchWidth);
   ref->set_trace([](u32, u32, const rv::Decoded&) {});
   ref->run();
-  for (u32 h = 0; h < 2; ++h) {
+  for (u32 h = 0; h < Machine::kMinBatchWidth; ++h) {
     EXPECT_EQ(fast->hart(h).ready, ref->hart(h).ready) << "hart " << h;
     EXPECT_EQ(fast->hart(h).cycles(), ref->hart(h).cycles()) << "hart " << h;
   }
+  EXPECT_GT(fast->batch_stats().batches, 0u);
 }
 
 TEST(IssSoa, SixteenHartDivergenceAndParkWakeMatchesOracles) {
@@ -770,31 +851,37 @@ TEST(IssSoa, SixteenHartDivergenceAndParkWakeMatchesOracles) {
 }
 
 TEST(IssSoa, MidSuperblockBudgetCutMatchesSerial) {
-  // The budget expires inside a lockstep sweep of a long superblock: the
-  // partial replay must retire exactly the budgeted count and leave every
-  // column (cycles, stalls, scoreboard) as the serial oracle does.
+  // The budget expires inside a long superblock after a lockstep sweep: the
+  // run must retire exactly the budgeted count and leave every column
+  // (cycles, stalls, scoreboard) as the serial oracle does. Each budget
+  // covers one full-quantum batch of all harts plus a cut that lands
+  // mid-superblock in a later turn.
+  constexpr u32 kHarts = Machine::kMinBatchWidth;
+  constexpr u64 kFirstPass = u64{kHarts} * 256;  // one quantum per hart
   std::string body = "_start:\n";
-  for (int i = 0; i < 200; ++i) body += "  addi t1, t1, 1\n";
+  for (int i = 0; i < 600; ++i) body += "  addi t1, t1, 1\n";
   body += "loop:\n  j loop\n";
-  for (const u64 budget : {150u * 4u + 3u, 199u * 4u + 1u}) {
-    auto batched = make_machine(body, 4);
+  for (const u64 budget : {kFirstPass + 150 * kHarts + 3, kFirstPass + 199 * kHarts + 1}) {
+    auto batched = make_machine(body, kHarts);
     const auto rb = batched->run(budget);
-    auto serial = make_machine(body, 4);
+    auto serial = make_machine(body, kHarts);
     serial->set_batching(false);
     const auto rs = serial->run(budget);
     EXPECT_EQ(rb.instructions, budget);
     EXPECT_EQ(rs.instructions, budget);
     expect_scoreboards_identical(*batched, *serial);
+    EXPECT_GT(batched->batch_stats().batches, 0u);
   }
 }
 
 TEST(IssSoa, ThreeThreadUnevenShardsMatchSerial) {
-  // 16 harts over 3 host threads: uneven shards (6/5/5) exercise the
-  // column-array sharding boundaries of run_threads. The workload is
-  // interaction-free (per-hart loop then ebreak) so per-hart state is
-  // shard-placement independent and must match the single-threaded serial
-  // oracle exactly, scoreboard included. (Wake-coupled workloads cannot be
-  // cycle-exact across thread counts - wake arrival is cross-thread timing.)
+  // 26 harts over 3 host threads: uneven shards (9/9/8, each wide enough to
+  // batch) exercise the column-array sharding boundaries of run_threads.
+  // The workload is interaction-free (per-hart loop then ebreak) so per-hart
+  // state is shard-placement independent and must match the single-threaded
+  // serial oracle exactly, scoreboard included. (Wake-coupled workloads
+  // cannot be cycle-exact across thread counts - wake arrival is
+  // cross-thread timing.)
   const char* body = R"(
     _start:
       csrr t0, mhartid
@@ -806,16 +893,20 @@ TEST(IssSoa, ThreeThreadUnevenShardsMatchSerial) {
       bnez t1, loop
       ebreak
   )";
-  auto sharded = make_machine(body, 16);
+  constexpr u32 kHarts = 26;
+  tera::TeraPoolConfig cluster = tera::TeraPoolConfig::tiny();
+  cluster.groups = 4;  // 32 cores
+  auto sharded = make_machine(body, kHarts, {}, cluster);
   const auto rt = sharded->run_threads(3);
-  auto serial = make_machine(body, 16);
+  auto serial = make_machine(body, kHarts, {}, cluster);
   serial->set_batching(false);
   const auto rs = serial->run();
   EXPECT_FALSE(rt.exited);
   EXPECT_FALSE(rt.deadlock);
   EXPECT_EQ(rt.instructions, rs.instructions);
   expect_scoreboards_identical(*sharded, *serial);
-  for (u32 h = 0; h < 16; ++h) EXPECT_TRUE(sharded->hart(h).state.halted) << h;
+  for (u32 h = 0; h < kHarts; ++h) EXPECT_TRUE(sharded->hart(h).state.halted) << h;
+  EXPECT_GT(sharded->batch_stats().batches, 0u);
 }
 
 TEST(IssSoa, GenericFallbackOpsMatchSerial) {

@@ -17,13 +17,14 @@ namespace {
 using kern::MmseLayout;
 using kern::Precision;
 
-MmseLayout eight_core_layout() {
+/// A 4x4 16-bit MMSE layout, one problem per core, on the tiny cluster.
+MmseLayout tiny_layout(u32 num_cores) {
   MmseLayout lay;
   lay.ntx = 4;
   lay.nrx = 4;
   lay.prec = Precision::k16CDotp;
   lay.problems_per_core = 1;
-  lay.num_cores = 8;
+  lay.num_cores = num_cores;
   lay.cluster = tera::TeraPoolConfig::tiny();
   lay.validate();
   return lay;
@@ -41,7 +42,7 @@ Batch staged_batch(iss::Machine& machine, const MmseLayout& lay, u64 seed) {
 }
 
 TEST(Threading, RunThreadsMatchesRunBitForBitAndCycleForCycle) {
-  const MmseLayout lay = eight_core_layout();
+  const MmseLayout lay = tiny_layout(8);
   const auto program = kern::build_mmse_program(lay);
 
   iss::Machine reference(lay.cluster, iss::TimingConfig{}, lay.num_cores);
@@ -76,7 +77,7 @@ TEST(Threading, RunThreadsMatchesRunBitForBitAndCycleForCycle) {
 }
 
 TEST(Threading, RunThreadsClampsThreadCountAboveHartCount) {
-  const MmseLayout lay = eight_core_layout();
+  const MmseLayout lay = tiny_layout(8);
   iss::Machine machine(lay.cluster, iss::TimingConfig{}, lay.num_cores);
   machine.load_program(kern::build_mmse_program(lay));
   staged_batch(machine, lay, 7);
@@ -92,7 +93,7 @@ TEST(Threading, RunThreadsClampsThreadCountAboveHartCount) {
 // exercises the superblock boundary computation end to end on a real
 // barrier-synchronized MMSE workload.
 TEST(Threading, SuperblockFastPathMatchesPerInstructionReference) {
-  const MmseLayout lay = eight_core_layout();
+  const MmseLayout lay = tiny_layout(8);
   const auto program = kern::build_mmse_program(lay);
 
   iss::Machine fast(lay.cluster, iss::TimingConfig{}, lay.num_cores);
@@ -131,7 +132,7 @@ TEST(Threading, SuperblockFastPathMatchesPerInstructionReference) {
 // accounting (the serial path is the oracle; the traced reference path is
 // its oracle in turn, covered above).
 TEST(Threading, BatchedDispatchMatchesSerialOnMmseWorkload) {
-  const MmseLayout lay = eight_core_layout();
+  const MmseLayout lay = tiny_layout(8);
   const auto program = kern::build_mmse_program(lay);
 
   iss::Machine batched(lay.cluster, iss::TimingConfig{}, lay.num_cores);
@@ -176,7 +177,7 @@ TEST(Threading, BatchedDispatchMatchesSerialOnMmseWorkload) {
 // functional results stay bit-identical to run(), and a single shard is
 // exactly equivalent to its serial self.
 TEST(Threading, RunThreadsShardBoundarySplitsConvergenceGroup) {
-  const MmseLayout lay = eight_core_layout();
+  const MmseLayout lay = tiny_layout(2 * iss::Machine::kMinBatchWidth);
   const auto program = kern::build_mmse_program(lay);
 
   iss::Machine reference(lay.cluster, iss::TimingConfig{}, lay.num_cores);
@@ -185,7 +186,7 @@ TEST(Threading, RunThreadsShardBoundarySplitsConvergenceGroup) {
   staged_batch(reference, lay, 123);
   ASSERT_TRUE(reference.run().exited);
 
-  // Two shards of four harts: the eight-wide convergence group splits.
+  // Two shards of eight harts: the sixteen-wide convergence group splits.
   iss::Machine sharded(lay.cluster, iss::TimingConfig{}, lay.num_cores);
   sharded.load_program(program);
   staged_batch(sharded, lay, 123);
@@ -199,7 +200,7 @@ TEST(Threading, RunThreadsShardBoundarySplitsConvergenceGroup) {
   }
   const auto& stats = sharded.batch_stats();
   EXPECT_GT(stats.batches, 0u);
-  EXPECT_LE(stats.width_max, 4u);  // never wider than a shard
+  EXPECT_LE(stats.width_max, iss::Machine::kMinBatchWidth);  // never wider than a shard
   // Cycle estimates agree up to the documented barrier-wake jitter.
   for (u32 h = 0; h < sharded.num_harts(); ++h) {
     const double a = static_cast<double>(sharded.hart(h).cycles());
@@ -228,6 +229,7 @@ TEST(Threading, RunThreadsShardBoundarySplitsConvergenceGroup) {
     EXPECT_EQ(one_batched.hart(h).wfi_stall_cycles, one_serial.hart(h).wfi_stall_cycles)
         << "hart " << h;
   }
+  EXPECT_GT(one_batched.batch_stats().batches, 0u);
 }
 
 TEST(Threading, McRunnerHostThreadsProduceBitIdenticalBerPoints) {
