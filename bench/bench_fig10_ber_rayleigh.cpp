@@ -28,7 +28,6 @@ void run_subfigure(const BenchOptions& opt, u32 n, u32 qam_order,
   cfg.max_bits = opt.full ? 400'000 : 30'000;  // Rayleigh BER is high: cheap
   cfg.cluster = tera::TeraPoolConfig::tiny();
   cfg.problems_per_core = 4;
-  cfg.host_threads = host_threads();
   sim::McRunner mc(cfg);
 
   std::printf("\n%ux%u %uQAM Rayleigh\n", n, n, qam_order);

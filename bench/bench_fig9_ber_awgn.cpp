@@ -23,7 +23,6 @@ void run_subfigure(const BenchOptions& opt, u32 n, u32 qam_order,
   cfg.max_bits = max_bits;
   cfg.cluster = tera::TeraPoolConfig::tiny();
   cfg.problems_per_core = 4;
-  cfg.host_threads = host_threads();
   sim::McRunner mc(cfg);
 
   std::printf("\n%ux%u %uQAM AWGN (target errors %u, bit budget %llu)\n", n, n,

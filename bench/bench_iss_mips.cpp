@@ -1,14 +1,14 @@
 // Simulated-MIPS trajectory bench for the fast ISS hot loop.
 //
 // Measures raw emulation throughput (millions of simulated instructions per
-// wall-clock second) of Machine::run / Machine::run_threads on the parallel
+// wall-clock second) of Machine::run on the parallel
 // MMSE workload, sweeping the hart count up to the largest configuration
 // that fits the full TeraPool's L1. Unlike bench_table1_sim_speed this
 // binary has no google-benchmark dependency, so it always builds, and its
 // --json output is the stable record of the hot-loop speed across commits
 // (BENCH_*.json trajectories).
 //
-// Rows: one per (cores, host threads, dispatch path) point. Each point is
+// Rows: one per (cores, dispatch path) point. Each point is
 // measured twice - `serial` (Machine::set_batching(false): the PR 2
 // superblock fast path, one hart at a time) and `batched` (the SPMD
 // convergence-batch dispatch, see machine.h) - so the batching speedup and
@@ -30,11 +30,7 @@
 // noise tolerance: the SoA vectorized sweep holds ~1.3x+ on this workload,
 // and the interleaved A/B rounds in measure_ab cancel most runner drift, so
 // a ratio under 1.25x means the lockstep sweep stopped paying for itself.
-//
-// --threads LIST: comma-separated host thread counts for the sweep rows
-// (e.g. --threads 1,2,4,8), replacing the default {1, host_threads()}.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "bench_common.h"
@@ -45,7 +41,6 @@ namespace {
 
 struct Point {
   u32 cores;
-  u32 threads;
   bool batched;
   u32 repeats;
   double seconds;
@@ -55,13 +50,13 @@ struct Point {
 };
 
 /// Measures the serial (first) and batched (second) dispatch of one
-/// (cores, threads) point. The two paths run in short interleaved rounds -
+/// hart count. The two paths run in short interleaved rounds -
 /// serial chunk, batched chunk, repeat - so slow host-throughput drift
 /// (VM steal, frequency) hits both paths equally and the speedup column
 /// stays meaningful on noisy runners; back-to-back windows can drift by
 /// tens of percent on shared machines.
 std::pair<Point, Point> measure_ab(const tera::TeraPoolConfig& cluster, u32 cores,
-                                   u32 threads, double min_seconds) {
+                                   double min_seconds) {
   const kern::MmseLayout lay =
       parallel_layout(cluster, 4, kern::Precision::k16CDotp, cores);
   iss::Machine machine(cluster, iss::TimingConfig{}, lay.num_cores);
@@ -71,7 +66,7 @@ std::pair<Point, Point> measure_ab(const tera::TeraPoolConfig& cluster, u32 core
   const auto one_run = [&](bool batched) {
     machine.set_batching(batched);
     machine.reset_harts();
-    const auto res = threads > 1 ? machine.run_threads(threads) : machine.run();
+    const auto res = machine.run();
     check(res.exited && !res.deadlock, "bench_iss_mips: run failed");
     return res.instructions;
   };
@@ -79,8 +74,8 @@ std::pair<Point, Point> measure_ab(const tera::TeraPoolConfig& cluster, u32 core
   one_run(false);
   one_run(true);
 
-  Point s{lay.num_cores, threads, false, 0, 0.0, 0, {}};
-  Point b{lay.num_cores, threads, true, 0, 0.0, 0, {}};
+  Point s{lay.num_cores, false, 0, 0.0, 0, {}};
+  Point b{lay.num_cores, true, 0, 0.0, 0, {}};
   machine.reset_batch_stats();
   const Stopwatch total;
   while (total.seconds() < 2.0 * min_seconds) {
@@ -109,26 +104,10 @@ int main(int argc, char** argv) {
   using namespace tsim::bench;
   const BenchOptions opt = BenchOptions::parse(
       argc, argv,
-      {{"--guard", false, "exit 1 if simulated MIPS regresses below the floor"},
-       {"--threads", true, "comma-separated host thread counts to sweep"}});
+      {{"--guard", false, "exit 1 if simulated MIPS regresses below the floor"}});
   bool guard = false;
-  std::vector<u32> thread_counts;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--guard") == 0) guard = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      for (const char* p = argv[i + 1]; *p != '\0';) {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(p, &end, 10);
-        if (end == p || v == 0 || (*end != ',' && *end != '\0')) {
-          std::fprintf(stderr, "%s: bad --threads list '%s' (want e.g. 1,2,4)\n",
-                       argv[0], argv[i + 1]);
-          return 2;
-        }
-        thread_counts.push_back(static_cast<u32>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-    }
-  }
 
   const auto cluster = tera::TeraPoolConfig::full();
   const u32 max_fit = kern::MmseLayout::max_parallel_cores(
@@ -138,7 +117,7 @@ int main(int argc, char** argv) {
   if (guard) {
     // CI speedup guard: the vectorized lockstep sweep must keep a real
     // margin over the serial fast path it wraps (see the header note).
-    const auto [s, b] = measure_ab(cluster, 256, 1, min_seconds);
+    const auto [s, b] = measure_ab(cluster, 256, min_seconds);
     const double ratio = b.mips() / s.mips();
     std::printf("bench_iss_mips --guard | serial %.2f MIPS, batched %.2f MIPS, "
                 "ratio %.2fx (threshold 1.25x)\n",
@@ -153,45 +132,37 @@ int main(int argc, char** argv) {
 
   std::vector<u32> core_counts = {4, 8, 16, 64, 256};
   if (opt.full && max_fit > 256) core_counts.push_back(std::min(max_fit, 1024u));
-  if (thread_counts.empty()) {
-    thread_counts.push_back(1);
-    if (host_threads() > 1) thread_counts.push_back(host_threads());
-  }
 
-  sim::Table table({"cores", "host_threads", "path", "repeats", "instructions",
+  sim::Table table({"cores", "path", "repeats", "instructions",
                     "wall_s", "sim_MIPS", "speedup", "lockstep_frac",
                     "avg_width", "p50_w", "p90_w", "avg_run"});
   std::printf("bench_iss_mips | fast-ISS hot-loop throughput (parallel MMSE)\n\n");
   for (const u32 cores : core_counts) {
-    for (const u32 threads : thread_counts) {
-      const auto [s, b] = measure_ab(cluster, cores, threads, min_seconds);
-      table.add_row({
-          sim::strf("%u", s.cores),
-          sim::strf("%u", s.threads),
-          "serial",
-          sim::strf("%u", s.repeats),
-          sim::strf("%llu", static_cast<unsigned long long>(s.instructions)),
-          sim::strf("%.3f", s.seconds),
-          sim::strf("%.2f", s.mips()),
-          "1.00",
-          "-", "-", "-", "-", "-",
-      });
-      table.add_row({
-          sim::strf("%u", b.cores),
-          sim::strf("%u", b.threads),
-          "batched",
-          sim::strf("%u", b.repeats),
-          sim::strf("%llu", static_cast<unsigned long long>(b.instructions)),
-          sim::strf("%.3f", b.seconds),
-          sim::strf("%.2f", b.mips()),
-          sim::strf("%.2f", b.mips() / s.mips()),
-          sim::strf("%.3f", b.stats.lockstep_fraction()),
-          sim::strf("%.1f", b.stats.avg_width()),
-          sim::strf("%llu", static_cast<unsigned long long>(b.stats.width_percentile(0.5))),
-          sim::strf("%llu", static_cast<unsigned long long>(b.stats.width_percentile(0.9))),
-          sim::strf("%.1f", b.stats.avg_run_length()),
-      });
-    }
+    const auto [s, b] = measure_ab(cluster, cores, min_seconds);
+    table.add_row({
+        sim::strf("%u", s.cores),
+        "serial",
+        sim::strf("%u", s.repeats),
+        sim::strf("%llu", static_cast<unsigned long long>(s.instructions)),
+        sim::strf("%.3f", s.seconds),
+        sim::strf("%.2f", s.mips()),
+        "1.00",
+        "-", "-", "-", "-", "-",
+    });
+    table.add_row({
+        sim::strf("%u", b.cores),
+        "batched",
+        sim::strf("%u", b.repeats),
+        sim::strf("%llu", static_cast<unsigned long long>(b.instructions)),
+        sim::strf("%.3f", b.seconds),
+        sim::strf("%.2f", b.mips()),
+        sim::strf("%.2f", b.mips() / s.mips()),
+        sim::strf("%.3f", b.stats.lockstep_fraction()),
+        sim::strf("%.1f", b.stats.avg_width()),
+        sim::strf("%llu", static_cast<unsigned long long>(b.stats.width_percentile(0.5))),
+        sim::strf("%llu", static_cast<unsigned long long>(b.stats.width_percentile(0.9))),
+        sim::strf("%.1f", b.stats.avg_run_length()),
+    });
   }
   table.print();
   opt.maybe_write(table, "iss_mips");

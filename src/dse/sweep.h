@@ -27,7 +27,7 @@ struct SweepConfig {
   u32 ttis = 1;                 // slots evaluated per point
   double clock_hz = 1e9;        // assumed DUT clock for latency conversion
   u32 host_threads = 1;         // scheduler pool threads (host-side only)
-  u32 threads_per_cluster = 1;  // Machine::run_threads shards within a batch
+  u32 threads_per_cluster = 1;  // must be 1 (see ClusterPoolConfig)
   bool golden_ber = true;       // also run the double-precision reference
   /// Reuse warmed-up scheduler state across sibling points. Points sharing a
   /// SlotScheduler::warm_key (cluster shape, latencies, precision,

@@ -1,7 +1,6 @@
 #include "iss/machine.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "rv/exec.h"
 
@@ -9,20 +8,6 @@ namespace tsim::iss {
 namespace {
 
 constexpr u32 kQuantum = 256;  // instructions per hart per scheduler turn
-
-// Consecutive idle observations of the all-parked condition a run_threads
-// worker requires before declaring deadlock. The triple-read snapshot in
-// the worker loop is already sound on its own (see the comment there); the
-// confirmation margin is belt-and-braces against future protocol edits.
-constexpr u32 kIdleConfirm = 64;
-
-/// Cycle of the instruction currently executing on this host thread; read
-/// by the MMIO wake handler to timestamp barrier releases. Thread-local so
-/// concurrent shards never share a cache line. Only stores can reach the
-/// wake register, so the fast path refreshes it on store-class instructions
-/// only (the traced reference path refreshes it every instruction, matching
-/// the historical behaviour; both are observationally identical).
-thread_local u64 t_current_cycle = 0;
 
 /// Placeholder translation table for a machine that has no program loaded
 /// yet: every lookup misses, so a premature run() halts the harts exactly
@@ -162,34 +147,15 @@ u64 BatchStats::width_percentile(double p) const {
   return static_cast<u64>(width_hist.size() - 1);
 }
 
-void BatchStats::merge(const BatchStats& other) {
-  lockstep_instructions += other.lockstep_instructions;
-  serial_instructions += other.serial_instructions;
-  batches += other.batches;
-  width_sum += other.width_sum;
-  width_max = std::max(width_max, other.width_max);
-  runs += other.runs;
-  run_entries += other.run_entries;
-  split_divergence += other.split_divergence;
-  split_budget += other.split_budget;
-  split_wake += other.split_wake;
-  split_stop += other.split_stop;
-  split_drain += other.split_drain;
-  if (width_hist.size() < other.width_hist.size())
-    width_hist.resize(other.width_hist.size(), 0);
-  for (size_t w = 0; w < other.width_hist.size(); ++w) width_hist[w] += other.width_hist[w];
-}
-
 Machine::Machine(const tera::TeraPoolConfig& cluster, TimingConfig timing, u32 active_harts)
     : cluster_(cluster),
       timing_(timing),
       mem_(std::make_unique<tera::ClusterMemory>(cluster)),
       tcache_(&empty_translation()),
       soa_(active_harts == 0 ? cluster.num_cores() : active_harts),
-      sleep_(soa_.size()) {
+      sleep_(soa_.size(), static_cast<u8>(SleepState::kAwake)) {
   mem_->set_exit_handler([this](u32 code) { on_exit(code); });
-  mem_->set_wake_handler([this](u32 target) { on_wake(target, t_current_cycle); });
-  for (auto& s : sleep_) s.store(0, std::memory_order_relaxed);
+  mem_->set_wake_handler([this](u32 target) { on_wake(target, current_cycle_); });
   bstats_.width_hist.assign(kMaxBatchWidth + 1, 0);
 }
 
@@ -236,10 +202,10 @@ void Machine::select_program(ProgramHandle handle) {
 
 void Machine::reset_harts() {
   soa_.reset(entry_pc_);
-  for (auto& s : sleep_) s.store(static_cast<u8>(SleepState::kAwake), std::memory_order_relaxed);
-  stop_.store(false, std::memory_order_relaxed);
-  exited_.store(false, std::memory_order_relaxed);
-  exit_code_.store(0, std::memory_order_relaxed);
+  std::fill(sleep_.begin(), sleep_.end(), static_cast<u8>(SleepState::kAwake));
+  stop_ = false;
+  exited_ = false;
+  exit_code_ = 0;
   wake_events_.clear();
   if (faults_armed_) {
     // Re-arm scheduled faults: a faulted run replays bit-for-bit.
@@ -274,7 +240,7 @@ bool Machine::fire_wake_events() {
       wake_events_.erase(wake_events_.begin());
       on_wake(target, cycle);
     }
-    if (!st_awake_.empty()) {
+    if (!awake_.empty()) {
       ++idle_jumps_;
       return true;
     }
@@ -306,8 +272,7 @@ void Machine::apply_hart_fault(HartFault& f) {
     // stalls its cluster.
     soa_.arch[f.hart].in_wfi = true;
     hart_hung_[f.hart] = 1;
-    sleep_[f.hart].store(static_cast<u8>(SleepState::kSleeping),
-                         std::memory_order_relaxed);
+    sleep_[f.hart] = static_cast<u8>(SleepState::kSleeping);
   } else {
     // Transient trap: the hart halts like an architectural fault.
     soa_.arch[f.hart].halted = true;
@@ -320,7 +285,7 @@ constexpr u32 kMachineTag = 0x31535349;  // "ISS1"
 }
 
 void Machine::save_state(sim::SnapshotWriter& w) const {
-  check(!st_mode_ && !mt_mode_, "Machine::save_state: machine is mid-run");
+  check(!running_, "Machine::save_state: machine is mid-run");
   check(wake_events_.empty(),
         "Machine::save_state: pending wake events are not serializable");
   w.tag(kMachineTag);
@@ -363,12 +328,11 @@ void Machine::save_state(sim::SnapshotWriter& w) const {
     w.write_bool(a.has_reservation);
     w.write_u32(a.reservation_addr);
   }
-  for (u32 i = 0; i < n; ++i)
-    w.write_u8(sleep_[i].load(std::memory_order_relaxed));
+  for (const u8 s : sleep_) w.write_u8(s);
 
-  w.write_bool(stop_.load(std::memory_order_relaxed));
-  w.write_bool(exited_.load(std::memory_order_relaxed));
-  w.write_u32(exit_code_.load(std::memory_order_relaxed));
+  w.write_bool(stop_);
+  w.write_bool(exited_);
+  w.write_u32(exit_code_);
 
   // Fault schedule, including armed-but-unfired entries: a restored run
   // fires them at the exact same instruction boundaries.
@@ -385,7 +349,7 @@ void Machine::save_state(sim::SnapshotWriter& w) const {
 }
 
 void Machine::restore_state(sim::SnapshotReader& r) {
-  check(!st_mode_ && !mt_mode_, "Machine::restore_state: machine is mid-run");
+  check(!running_, "Machine::restore_state: machine is mid-run");
   r.expect_tag(kMachineTag, "Machine");
   const u32 n = soa_.size();
   if (r.read_u32() != n)
@@ -457,12 +421,12 @@ void Machine::restore_state(sim::SnapshotReader& r) {
     const u8 s = r.read_u8();
     if (s > static_cast<u8>(SleepState::kWakePending))
       r.fail("invalid hart sleep state");
-    sleep_[i].store(s, std::memory_order_relaxed);
+    sleep_[i] = s;
   }
 
-  stop_.store(r.read_bool(), std::memory_order_relaxed);
-  exited_.store(r.read_bool(), std::memory_order_relaxed);
-  exit_code_.store(r.read_u32(), std::memory_order_relaxed);
+  stop_ = r.read_bool();
+  exited_ = r.read_bool();
+  exit_code_ = r.read_u32();
 
   faults_armed_ = r.read_bool();
   const u64 nfaults = r.read_u64();
@@ -483,9 +447,9 @@ void Machine::restore_state(sim::SnapshotReader& r) {
 }
 
 void Machine::on_exit(u32 code) {
-  exit_code_.store(code, std::memory_order_relaxed);
-  exited_.store(true, std::memory_order_relaxed);
-  stop_.store(true, std::memory_order_release);
+  exit_code_ = code;
+  exited_ = true;
+  stop_ = true;
 }
 
 void Machine::on_wake(u32 target, u64 waker_cycle) {
@@ -493,34 +457,27 @@ void Machine::on_wake(u32 target, u64 waker_cycle) {
     if (i >= soa_.size()) return;
     if (faults_armed_ && hart_hung_[i] != 0) return;  // stuck harts ignore wakes
     soa_.wake_cycle[i] = waker_cycle;
-    auto& s = sleep_[i];
-    u8 expected = static_cast<u8>(SleepState::kSleeping);
-    if (s.compare_exchange_strong(expected, static_cast<u8>(SleepState::kAwake))) {
-      // The hart was parked: hand it back to its scheduler's run list.
-      if (st_mode_) {
-        // Same host thread (wakes only happen inside a store instruction):
-        // insert in sorted position. Adjusting st_pos_ when the insertion
-        // lands at or before it reproduces the scan-all-harts visit order
-        // exactly: a hart woken "behind" the scan runs next pass, a hart
-        // woken "ahead" still runs this pass.
-        const auto it = std::lower_bound(st_awake_.begin(), st_awake_.end(), i);
-        const size_t idx = static_cast<size_t>(it - st_awake_.begin());
-        st_awake_.insert(it, i);
-        if (idx <= st_pos_) ++st_pos_;
+    u8& s = sleep_[i];
+    if (s == static_cast<u8>(SleepState::kSleeping)) {
+      s = static_cast<u8>(SleepState::kAwake);
+      // The hart was parked: hand it back to the run list. Wakes only happen
+      // inside a store instruction or an event fire, so insert in sorted
+      // position. Adjusting pos_ when the insertion lands at or before it
+      // reproduces the scan-all-harts visit order exactly: a hart woken
+      // "behind" the scan runs next pass, a hart woken "ahead" still runs
+      // this pass.
+      if (running_) {
+        const auto it = std::lower_bound(awake_.begin(), awake_.end(), i);
+        const size_t idx = static_cast<size_t>(it - awake_.begin());
+        awake_.insert(it, i);
+        if (idx <= pos_) ++pos_;
         // A lockstep batch in flight ends at the next superblock boundary so
         // the woken hart is rescheduled with (close to) serial promptness.
-        if (st_batch_active_) st_batch_wake_ = true;
-      } else if (mt_mode_) {
-        pending_wakes_.fetch_add(1, std::memory_order_release);
-        WakeInbox& box = inboxes_[i / shard_size_];
-        const std::lock_guard<std::mutex> lock(box.m);
-        box.ids.push_back(i);
-        box.count.fetch_add(1, std::memory_order_release);
+        if (batch_active_) batch_wake_ = true;
       }
-      return;
+    } else if (s == static_cast<u8>(SleepState::kAwake)) {
+      s = static_cast<u8>(SleepState::kWakePending);
     }
-    expected = static_cast<u8>(SleepState::kAwake);
-    s.compare_exchange_strong(expected, static_cast<u8>(SleepState::kWakePending));
   };
   if (target == ~0u) {
     for (u32 i = 0; i < soa_.size(); ++i) wake_one(i);
@@ -530,21 +487,15 @@ void Machine::on_wake(u32 target, u64 waker_cycle) {
 }
 
 bool Machine::park_in_wfi(u32 hart_index) {
-  auto& s = sleep_[hart_index];
-  u8 expected = static_cast<u8>(SleepState::kWakePending);
-  if (s.compare_exchange_strong(expected, static_cast<u8>(SleepState::kAwake))) {
+  u8& s = sleep_[hart_index];
+  if (s == static_cast<u8>(SleepState::kWakePending)) {
     // A wake arrived between barrier arrival and wfi: consume it and keep going.
+    s = static_cast<u8>(SleepState::kAwake);
     resume_from_wfi(hart_index);
     return false;
   }
-  expected = static_cast<u8>(SleepState::kAwake);
-  if (s.compare_exchange_strong(expected, static_cast<u8>(SleepState::kSleeping))) {
-    return true;  // now asleep; the scheduler resumes us after a wake
-  }
-  // A wake raced in during the transition: consume it.
-  s.store(static_cast<u8>(SleepState::kAwake), std::memory_order_relaxed);
-  soa_.arch[hart_index].in_wfi = false;
-  return false;
+  s = static_cast<u8>(SleepState::kSleeping);
+  return true;  // now asleep; the scheduler resumes us after a wake
 }
 
 void Machine::resume_from_wfi(u32 hart_index) {
@@ -581,7 +532,7 @@ u64 Machine::exec_quantum_impl(u32 hart_index, u64 budget, TurnEnd& end,
     for (u32 k = 0; k < n; ++k, ++e) {
       const u64 issue = compute_issue(soa_, i, *e, scoreboard);
       h.cycle = issue;
-      if (e->flags & kSbStore) t_current_cycle = issue;
+      if (e->flags & kSbStore) current_cycle_ = issue;
       const rv::StepInfo info = rv::execute(e->d, h, *mem_);
       soa_.mix_col(e->mix)[i]++;
       retire_timing(soa_, i, *e, info, issue, timing_, cluster_, *mem_);
@@ -591,7 +542,7 @@ u64 Machine::exec_quantum_impl(u32 hart_index, u64 budget, TurnEnd& end,
         end = TurnEnd::kHalted;
         return executed;
       }
-      if (stop_.load(std::memory_order_relaxed)) {
+      if (stop_) {
         if constexpr (kRecord) trace->back().n = k + 1;
         end = TurnEnd::kStopped;
         return executed;
@@ -629,7 +580,7 @@ u64 Machine::exec_quantum_traced(u32 hart_index, u64 budget, TurnEnd& end) {
     }
     const u64 issue = compute_issue(soa_, i, *e, timing_.scoreboard);
     h.cycle = issue;
-    t_current_cycle = issue;
+    current_cycle_ = issue;
     if (trace_) trace_(hart_index, h.pc, e->d);
     const rv::StepInfo info = rv::execute(e->d, h, *mem_);
     soa_.mix_col(e->mix)[i]++;
@@ -644,7 +595,7 @@ u64 Machine::exec_quantum_traced(u32 hart_index, u64 budget, TurnEnd& end) {
       end = TurnEnd::kAsleep;
       return executed;
     }
-    if (stop_.load(std::memory_order_relaxed)) {
+    if (stop_) {
       end = TurnEnd::kStopped;
       return executed;
     }
@@ -652,18 +603,19 @@ u64 Machine::exec_quantum_traced(u32 hart_index, u64 budget, TurnEnd& end) {
   return executed;
 }
 
-u32 Machine::scan_convergent(const std::vector<u32>& list, size_t pos, u32 limit) const {
+u32 Machine::scan_convergent(u32 limit) const {
   if (limit < kMinBatchWidth) return 1;
-  const u32 pc = soa_.pc[list[pos]];
+  const u32* list = awake_.data() + pos_;
+  const u32 pc = soa_.pc[list[0]];
   u32 width = 1;
-  while (width < limit && soa_.pc[list[pos + width]] == pc) ++width;
+  while (width < limit && soa_.pc[list[width]] == pc) ++width;
   return width >= kMinBatchWidth ? width : 1;
 }
 
 u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
                                    const std::vector<TraceRun>& trace,
-                                   BatchEnd* ends, u64* rems,
-                                   BatchStats& stats) {
+                                   BatchEnd* ends, u64* rems) {
+  BatchStats& stats = bstats_;
   // Live followers with order-preserving compaction; lid[k] is the hart id
   // (= SoA lane) of live member k, orig[k] its formation index so ends/rems
   // stay addressable as followers drop out.
@@ -696,10 +648,8 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
   u64 consumed = 0;  // instructions each live follower retired so far
   bool diverged = false;
   bool ended_early = false;  // stop / wake cut the replay short
-  if (st_mode_) {
-    st_batch_wake_ = false;
-    st_batch_active_ = true;
-  }
+  batch_wake_ = false;
+  batch_active_ = true;
 
   // Per-sweep scratch handing results between the three passes, indexed by
   // live member slot.
@@ -723,7 +673,7 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
         ++k;
       }
       if (live == 0) break;
-      if (st_mode_ && st_batch_wake_) {
+      if (batch_wake_) {
         // A wake landed in the run list: hand the remaining turns back to
         // the serial scheduler so the woken hart is rescheduled promptly.
         ++stats.split_wake;
@@ -758,7 +708,7 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
           const u32 i = lid[k];
           HartLane h = soa_.lane(i);
           const u64 issue = compute_issue(soa_, i, ent, scoreboard);
-          if (is_store) t_current_cycle = issue;
+          if (is_store) current_cycle_ = issue;
           h.cycle = issue;  // mcycle-visible (CSR reads take this path)
           const rv::StepInfo info = rv::execute(ent.d, h, mem);
           soa_.mix_col(ent.mix)[i] += 1;
@@ -809,7 +759,7 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
             // vector loop per member window. Running it before the
             // semantics is sound for exactly this class - the op reads
             // neither cycle nor ready (no CSR access on the specialized
-            // list), makes no memory access (no t_current_cycle refresh, no
+            // list), makes no memory access (no current_cycle_ refresh, no
             // wake handler), and cannot fault - and the fused loop is the
             // same per-lane arithmetic in the same order as split passes.
             // (kSbPostIncLoad never occurs here: the flag is only set on
@@ -888,7 +838,7 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
           // the specialized ops read CSRs) - pass C overwrites it either
           // way, so the specialized sweeps elide it.
           for (u32 k = 0; k < n; ++k) {
-            if constexpr (kStoreCls) t_current_cycle = issue_buf[k];
+            if constexpr (kStoreCls) current_cycle_ = issue_buf[k];
             HartLane h = soa_.lane(at(k));
             const rv::StepInfo info = rv::execute_known<kOp>(ent.d, h, mem);
             if constexpr (kBranch) taken_buf[k] = info.branch_taken;
@@ -1008,7 +958,7 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
       // the leader (or a follower store) raised it, every live follower has
       // retired exactly one instruction past the stop, like the serial
       // harts scheduled after the raiser.
-      if (stop_.load(std::memory_order_relaxed)) [[unlikely]] {
+      if (stop_) [[unlikely]] {
         ++stats.split_stop;
         while (live != 0) drop(0, BatchEnd::kStopped);
         ended_early = true;
@@ -1047,16 +997,18 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
   }
   if (diverged) ++stats.split_divergence;
 
-  if (st_mode_) st_batch_active_ = false;
+  batch_active_ = false;
   stats.lockstep_instructions += executed;
   return executed;
 }
 
-template <typename EraseFn, typename AdvanceFn>
+void Machine::erase_awake(size_t pos) {
+  awake_.erase(awake_.begin() + static_cast<ptrdiff_t>(pos));
+  if (pos < pos_) --pos_;
+}
+
 u64 Machine::reconcile_batch(const u32* ids, u32 width, TurnEnd leader_end,
-                             const BatchEnd* follower_ends, const u64* rems,
-                             const std::vector<u32>& list, BatchStats& stats,
-                             EraseFn&& erase_at, AdvanceFn&& advance_to) {
+                             const BatchEnd* follower_ends, const u64* rems) {
   u64 executed = 0;
   for (u32 k = 0; k < width; ++k) {
     const u32 id = ids[k];
@@ -1069,36 +1021,38 @@ u64 Machine::reconcile_batch(const u32* ids, u32 width, TurnEnd leader_end,
     } else {
       be = follower_ends[k - 1];
     }
-    // Members are re-located by id: wakes during the batch (run() inserts,
-    // or the serial finish below) may have shifted positions, but the list
-    // is sorted and members never leave it mid-batch.
-    auto it = std::lower_bound(list.begin(), list.end(), id);
-    size_t pos = static_cast<size_t>(it - list.begin());
+    // Members are re-located by id: wakes during the batch (or the serial
+    // finish below) may have shifted positions, but the list is sorted and
+    // members never leave it mid-batch.
+    const auto locate = [this, id] {
+      return static_cast<size_t>(std::lower_bound(awake_.begin(), awake_.end(), id) -
+                                 awake_.begin());
+    };
+    const size_t pos = locate();
     switch (be) {
       case BatchEnd::kAsleep:
       case BatchEnd::kHalted:
-        erase_at(pos, be == BatchEnd::kHalted);
+        erase_awake(pos);
         break;
       case BatchEnd::kBudget:
       case BatchEnd::kStopped:
-        advance_to(pos + 1);
+        pos_ = pos + 1;
         break;
       case BatchEnd::kRun: {
         // Finish the member's turn on the serial path with the exact
         // remaining quantum; the scan position is parked on it so wake
         // inserts during the finish see the exact serial scan position.
-        advance_to(pos);
+        pos_ = pos;
         TurnEnd end;
         const u64 n = exec_quantum(id, rems[k - 1], end);
         executed += n;
-        stats.serial_instructions += n;
-        it = std::lower_bound(list.begin(), list.end(), id);
-        pos = static_cast<size_t>(it - list.begin());
+        bstats_.serial_instructions += n;
+        const size_t now = locate();
         if (end == TurnEnd::kAsleep || end == TurnEnd::kHalted) {
-          erase_at(pos, end == TurnEnd::kHalted);
-          advance_to(pos);
+          erase_awake(now);
+          pos_ = now;
         } else {
-          advance_to(pos + 1);
+          pos_ = now + 1;
         }
         break;
       }
@@ -1112,17 +1066,15 @@ RunResult Machine::run(u64 max_instructions) {
   u64 executed = 0;
 
   // Build the awake run list once; after this the scheduler never loads a
-  // sleep state - on_wake (same host thread) re-inserts woken harts.
-  st_awake_.clear();
+  // sleep state - on_wake re-inserts woken harts.
+  awake_.clear();
   for (u32 i = 0; i < num_harts(); ++i) {
     if (soa_.arch[i].halted) continue;
-    if (sleep_[i].load(std::memory_order_relaxed) ==
-        static_cast<u8>(SleepState::kSleeping))
-      continue;
-    st_awake_.push_back(i);
+    if (sleep_[i] == static_cast<u8>(SleepState::kSleeping)) continue;
+    awake_.push_back(i);
   }
-  st_pos_ = 0;
-  st_mode_ = true;
+  pos_ = 0;
+  running_ = true;
 
   u32 batch_ids[kMaxBatchWidth];
   BatchEnd batch_ends[kMaxBatchWidth];
@@ -1130,14 +1082,14 @@ RunResult Machine::run(u64 max_instructions) {
 
   bool first_pass = true;
   for (;;) {
-    if (first_pass || st_pos_ >= st_awake_.size()) {
+    if (first_pass || pos_ >= awake_.size()) {
       // Pass boundary (the sorted list was scanned end to end). stop_ is
       // only consulted here and after each retired instruction, mirroring
       // the original scan-all-harts loop cycle for cycle.
       first_pass = false;
-      st_pos_ = 0;
-      if (stop_.load(std::memory_order_acquire)) break;
-      if (st_awake_.empty()) {
+      pos_ = 0;
+      if (stop_) break;
+      if (awake_.empty()) {
         // Quiescence fast-forward: with wake events pending, jump straight
         // to the earliest one instead of declaring deadlock.
         if (!wake_events_.empty() && fire_wake_events()) continue;
@@ -1150,7 +1102,7 @@ RunResult Machine::run(u64 max_instructions) {
         break;
       }
     }
-    const u32 i = st_awake_[st_pos_];
+    const u32 i = awake_[pos_];
     if (soa_.arch[i].in_wfi) resume_from_wfi(i);
     u64 budget = kQuantum;
     if (max_instructions != 0)
@@ -1172,55 +1124,46 @@ RunResult Machine::run(u64 max_instructions) {
         budget = std::min(budget, f.at_instret - done);
       }
       if (fault_applied) {
-        st_awake_.erase(st_awake_.begin() + static_cast<ptrdiff_t>(st_pos_));
+        erase_awake(pos_);
         continue;
       }
     }
 
-    // Convergence batch: consecutive same-pc harts from st_pos_ (see the
-    // SPMD batching note in the header). Every member needs a full quantum
-    // of budget headroom, so a max_instructions cut always lands on a
-    // serial turn and budget semantics stay exactly serial. Armed faults
-    // force the serial oracle: exact instret boundaries, no replay.
+    // Convergence batch: consecutive same-pc harts from pos_ (see the SPMD
+    // batching note in the header). Every member needs a full quantum of
+    // budget headroom, so a max_instructions cut always lands on a serial
+    // turn and budget semantics stay exactly serial. Armed faults force the
+    // serial oracle: exact instret boundaries, no replay.
     u32 width = 1;
     if (batching_ && !trace_ && !faults_armed_ && budget == kQuantum &&
-        st_awake_.size() - st_pos_ >= kMinBatchWidth) {
-      u64 limit = std::min<u64>(kMaxBatchWidth, st_awake_.size() - st_pos_);
+        awake_.size() - pos_ >= kMinBatchWidth) {
+      u64 limit = std::min<u64>(kMaxBatchWidth, awake_.size() - pos_);
       if (max_instructions != 0)
         limit = std::min<u64>(limit, (max_instructions - executed) / kQuantum);
-      width = scan_convergent(st_awake_, st_pos_, static_cast<u32>(limit));
+      width = scan_convergent(static_cast<u32>(limit));
     }
 
     if (width >= 2) {
       for (u32 k = 0; k < width; ++k) {
-        batch_ids[k] = st_awake_[st_pos_ + k];
+        batch_ids[k] = awake_[pos_ + k];
         // Turn-start wake accounting for the joining harts: it reads only
         // the hart's own wake_cycle, so resuming at formation is
         // bit-identical to resuming at the hart's serial turn.
         if (k != 0 && soa_.arch[batch_ids[k]].in_wfi) resume_from_wfi(batch_ids[k]);
       }
-      // Leader turn: a plain serial quantum (st_pos_ is parked on the
-      // leader, so wakes it raises see the exact serial scan position) that
-      // records its superblock runs for the followers to replay.
-      st_trace_.clear();
+      // Leader turn: a plain serial quantum (pos_ is parked on the leader,
+      // so wakes it raises see the exact serial scan position) that records
+      // its superblock runs for the followers to replay.
+      leader_trace_.clear();
       TurnEnd leader_end;
       const u64 leader_n = exec_quantum_record(batch_ids[0], kQuantum,
-                                               leader_end, st_trace_);
+                                               leader_end, leader_trace_);
       executed += leader_n;
       bstats_.serial_instructions += leader_n;
       executed += exec_followers_replay(batch_ids + 1, width - 1, kQuantum,
-                                        st_trace_, batch_ends, batch_rems,
-                                        bstats_);
-      // Reconcile in member (= serial visit) order (shared helper; the
-      // callbacks apply run()'s scan-position bookkeeping).
-      executed += reconcile_batch(
-          batch_ids, width, leader_end, batch_ends, batch_rems, st_awake_,
-          bstats_,
-          [this](size_t pos, bool) {
-            st_awake_.erase(st_awake_.begin() + static_cast<ptrdiff_t>(pos));
-            if (pos < st_pos_) --st_pos_;
-          },
-          [this](size_t pos) { st_pos_ = pos; });
+                                        leader_trace_, batch_ends, batch_rems);
+      executed += reconcile_batch(batch_ids, width, leader_end, batch_ends,
+                                  batch_rems);
     } else {
       TurnEnd end;
       const u64 n = trace_ ? exec_quantum_traced(i, budget, end)
@@ -1228,246 +1171,18 @@ RunResult Machine::run(u64 max_instructions) {
       executed += n;
       if (!trace_ && batching_) bstats_.serial_instructions += n;
       if (end == TurnEnd::kAsleep || end == TurnEnd::kHalted) {
-        st_awake_.erase(st_awake_.begin() + static_cast<ptrdiff_t>(st_pos_));
+        erase_awake(pos_);
       } else {
-        ++st_pos_;
+        ++pos_;
       }
     }
     if (max_instructions != 0 && executed >= max_instructions) break;
   }
 
-  st_mode_ = false;
-  res.exited = exited_.load(std::memory_order_relaxed);
-  res.exit_code = exit_code_.load(std::memory_order_relaxed);
+  running_ = false;
+  res.exited = exited_;
+  res.exit_code = exit_code_;
   res.instructions = executed;
-  return res;
-}
-
-RunResult Machine::run_threads(u32 n_threads, u64 max_instructions) {
-  check(!faults_armed_,
-        "run_threads: hart faults are applied by the serial run() oracle");
-  check(wake_events_.empty(),
-        "run_threads: wake events are fired by the serial run() scheduler");
-  n_threads = std::max(1u, std::min<u32>(n_threads, num_harts()));
-  const u32 per = (num_harts() + n_threads - 1) / n_threads;
-  const u32 n_shards = (num_harts() + per - 1) / per;
-
-  shard_size_ = per;
-  inboxes_ = std::make_unique<WakeInbox[]>(n_shards);
-  u32 awake = 0;
-  for (u32 i = 0; i < num_harts(); ++i) {
-    if (soa_.arch[i].halted) continue;
-    if (sleep_[i].load(std::memory_order_relaxed) !=
-        static_cast<u8>(SleepState::kSleeping))
-      ++awake;
-  }
-  awake_count_.store(awake, std::memory_order_relaxed);
-  pending_wakes_.store(0, std::memory_order_relaxed);
-  budget_left_.store(static_cast<i64>(max_instructions), std::memory_order_relaxed);
-  mt_mode_ = true;
-
-  std::atomic<u64> executed{0};
-  std::atomic<bool> deadlock{false};
-  // Claimed-but-unsettled budget quanta: a worker that cannot claim may only
-  // declare the budget exhausted once no peer still holds a claim (a peer
-  // that parks early returns its unused share to the pool).
-  std::atomic<u32> claims_in_flight{0};
-  std::vector<std::thread> workers;
-  workers.reserve(n_shards);
-
-  for (u32 t = 0; t < n_shards; ++t) {
-    const u32 lo = t * per;
-    const u32 hi = std::min(num_harts(), lo + per);
-    workers.emplace_back([this, t, lo, hi, max_instructions, &executed, &deadlock,
-                          &claims_in_flight] {
-      // Shard-local run list; cross-thread wakes arrive via our inbox.
-      // Convergence batches form inside this list only, so a convergence
-      // group spanning a shard boundary simply splits at it; batch stats
-      // accumulate shard-locally and merge on join.
-      std::vector<u32> awake_list;
-      u32 batch_ids[kMaxBatchWidth];
-      BatchEnd batch_ends[kMaxBatchWidth];
-      u64 batch_rems[kMaxBatchWidth];
-      std::vector<TraceRun> trace;  // shard-local leader-trace scratch
-      BatchStats local_stats;
-      local_stats.width_hist.assign(kMaxBatchWidth + 1, 0);
-      u32 shard_live = 0;
-      for (u32 i = lo; i < hi; ++i) {
-        if (soa_.arch[i].halted) continue;
-        ++shard_live;
-        if (sleep_[i].load(std::memory_order_relaxed) !=
-            static_cast<u8>(SleepState::kSleeping))
-          awake_list.push_back(i);
-      }
-      WakeInbox& inbox = inboxes_[t];
-      size_t pos = 0;
-      u64 local_exec = 0;
-      u32 idle_confirm = 0;
-      std::vector<u32> drained;
-
-      const auto drain_inbox = [&] {
-        {
-          const std::lock_guard<std::mutex> lock(inbox.m);
-          drained.swap(inbox.ids);
-          inbox.count.store(0, std::memory_order_release);
-        }
-        for (const u32 i : drained) {
-          // Order matters for the deadlock snapshot: make the hart visible
-          // as awake before retiring its pending-wake token.
-          awake_count_.fetch_add(1, std::memory_order_release);
-          pending_wakes_.fetch_sub(1, std::memory_order_release);
-          const auto it = std::lower_bound(awake_list.begin(), awake_list.end(), i);
-          const size_t idx = static_cast<size_t>(it - awake_list.begin());
-          awake_list.insert(it, i);
-          if (idx <= pos) ++pos;
-        }
-        drained.clear();
-      };
-
-      for (;;) {
-        if (inbox.count.load(std::memory_order_acquire) != 0) drain_inbox();
-        if (pos >= awake_list.size()) {
-          pos = 0;
-          if (stop_.load(std::memory_order_acquire)) break;
-          if (shard_live == 0) break;  // every hart of this shard halted
-        }
-        if (awake_list.empty()) {
-          // All our live harts are parked. Wait for a wake; declare
-          // deadlock only on a triple-read (awake, pending, awake) snapshot
-          // of all zeros, which is sound under acquire/release:
-          //  - a running hart that later parks issues its wakes (pending++)
-          //    before its own awake--; observing awake==0 therefore makes
-          //    those pending++ visible to the subsequent pending read;
-          //  - a drain performs awake++ before pending--; observing
-          //    pending==0 after a drain therefore makes its awake++ visible
-          //    to the second awake read.
-          // So aw1==pw==aw2==0 implies no awake hart and no wake in flight.
-          const u32 aw1 = awake_count_.load(std::memory_order_acquire);
-          const u32 pw = pending_wakes_.load(std::memory_order_acquire);
-          const u32 aw2 = awake_count_.load(std::memory_order_acquire);
-          if (aw1 == 0 && pw == 0 && aw2 == 0) {
-            if (++idle_confirm > kIdleConfirm) {
-              deadlock.store(true, std::memory_order_relaxed);
-              stop_.store(true, std::memory_order_release);
-              break;
-            }
-          } else {
-            idle_confirm = 0;
-          }
-          std::this_thread::yield();
-          continue;
-        }
-        idle_confirm = 0;
-
-        const u32 i = awake_list[pos];
-        if (soa_.arch[i].in_wfi) resume_from_wfi(i);
-
-        // Convergence batch inside this shard's list; a batch runs only on
-        // a full width*kQuantum claim from the shared budget pool, so the
-        // pool tail is always consumed by serial turns.
-        u32 width = 1;
-        if (batching_ && awake_list.size() - pos >= kMinBatchWidth) {
-          const u64 limit = std::min<u64>(kMaxBatchWidth, awake_list.size() - pos);
-          width = scan_convergent(awake_list, pos, static_cast<u32>(limit));
-        }
-        u64 budget = kQuantum;
-        if (max_instructions != 0) {
-          claims_in_flight.fetch_add(1, std::memory_order_acq_rel);
-          const i64 want = static_cast<i64>(width) * kQuantum;
-          i64 cur = budget_left_.load(std::memory_order_acquire);
-          i64 claim;
-          do {
-            claim = cur >= want ? want : std::min<i64>(kQuantum, cur);
-            if (claim <= 0) break;
-          } while (!budget_left_.compare_exchange_weak(cur, cur - claim,
-                                                       std::memory_order_acq_rel));
-          if (claim <= 0) {
-            claims_in_flight.fetch_sub(1, std::memory_order_acq_rel);
-            // Only call the budget exhausted when no peer holds unsettled
-            // budget (it might hand it back if its hart parks early).
-            if (claims_in_flight.load(std::memory_order_acquire) == 0 &&
-                budget_left_.load(std::memory_order_acquire) <= 0) {
-              stop_.store(true, std::memory_order_release);
-            }
-            if (stop_.load(std::memory_order_acquire)) break;
-            std::this_thread::yield();
-            continue;
-          }
-          if (claim < want) width = 1;  // partial claim: serial turn
-          budget = width >= 2 ? kQuantum : static_cast<u64>(claim);
-        }
-
-        u64 turn_exec = 0;
-        u64 turn_claimed = budget;
-        if (width >= 2) {
-          turn_claimed = static_cast<u64>(width) * kQuantum;
-          for (u32 k = 0; k < width; ++k) {
-            batch_ids[k] = awake_list[pos + k];
-            if (k != 0 && soa_.arch[batch_ids[k]].in_wfi)
-              resume_from_wfi(batch_ids[k]);
-          }
-          // Leader turn: a plain serial quantum that records its superblock
-          // runs; the followers then replay the trace in lockstep.
-          trace.clear();
-          TurnEnd leader_end;
-          const u64 leader_n =
-              exec_quantum_record(batch_ids[0], kQuantum, leader_end, trace);
-          turn_exec += leader_n;
-          local_stats.serial_instructions += leader_n;
-          turn_exec += exec_followers_replay(batch_ids + 1, width - 1, kQuantum,
-                                             trace, batch_ends, batch_rems,
-                                             local_stats);
-          // Reconcile in member order (shared helper; the callbacks apply
-          // this shard's list bookkeeping and awake/live counters - no
-          // inserts can land in awake_list mid-turn, wakes queue in the
-          // inbox, but members are re-located by id all the same).
-          turn_exec += reconcile_batch(
-              batch_ids, width, leader_end, batch_ends, batch_rems, awake_list,
-              local_stats,
-              [&](size_t mpos, bool halted) {
-                awake_list.erase(awake_list.begin() + static_cast<ptrdiff_t>(mpos));
-                awake_count_.fetch_sub(1, std::memory_order_release);
-                if (halted) --shard_live;
-                if (mpos < pos) --pos;
-              },
-              [&](size_t mpos) { pos = mpos; });
-        } else {
-          TurnEnd end;
-          turn_exec = exec_quantum(i, budget, end);
-          if (batching_) local_stats.serial_instructions += turn_exec;
-          if (end == TurnEnd::kAsleep || end == TurnEnd::kHalted) {
-            awake_list.erase(awake_list.begin() + static_cast<ptrdiff_t>(pos));
-            awake_count_.fetch_sub(1, std::memory_order_release);
-            if (end == TurnEnd::kHalted) --shard_live;
-          } else {
-            ++pos;
-          }
-        }
-        local_exec += turn_exec;
-        if (max_instructions != 0) {
-          if (turn_exec < turn_claimed)
-            budget_left_.fetch_add(static_cast<i64>(turn_claimed - turn_exec),
-                                   std::memory_order_acq_rel);
-          claims_in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        }
-      }
-      executed.fetch_add(local_exec, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(bstats_mutex_);
-        bstats_.merge(local_stats);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  mt_mode_ = false;
-  inboxes_.reset();
-
-  RunResult res;
-  res.exited = exited_.load(std::memory_order_relaxed);
-  res.exit_code = exit_code_.load(std::memory_order_relaxed);
-  res.deadlock = deadlock.load(std::memory_order_relaxed);
-  res.instructions = executed.load(std::memory_order_relaxed);
   return res;
 }
 

@@ -1,26 +1,20 @@
 // The fast ISS machine: N harts over one ClusterMemory, executing a
 // predecoded (translated) program with the static-latency timing model.
 //
-// Run modes mirror Banshee's:
-//  - run():           deterministic single-host-thread round-robin.
-//  - run_threads(n):  harts sharded over n host threads, synchronizing only
-//                     through the DUT program's own atomics and wfi/wake.
+// One run mode: run() is a deterministic single-host-thread round-robin over
+// the harts, so every functional result and every per-hart cycle estimate is
+// a pure function of the program, the staged memory and the run budget. Host
+// parallelism lives a layer up, one machine per host thread: the slot
+// scheduler's pool over clusters, the fork-per-shard farm, and independent
+// Monte-Carlo machines (bench_fig6).
 //
-// Hot-loop design: both run modes schedule only *awake* harts. Each
-// scheduler keeps a run list of runnable hart ids; a hart leaves the list
-// when it halts or parks in wfi and is re-inserted by the MMIO wake handler
-// (run()) or a per-shard wake inbox (run_threads()), so a barrier-heavy
+// Hot-loop design: run() schedules only *awake* harts. It keeps a sorted run
+// list of runnable hart ids; a hart leaves the list when it halts or parks in
+// wfi and is re-inserted by the MMIO wake handler, so a barrier-heavy
 // 1024-hart phase costs O(awake) per pass instead of O(num_harts).
 // Within a hart's turn, instructions are retired superblock-at-a-time from
 // the TranslationCache (see translation.h): one pc lookup per straight-line
 // run, with the ISA-table properties folded into the predecoded entries.
-//
-// Per-hart cycle estimates depend only on that hart's instruction stream
-// plus barrier wake times. Functional results are independent of the host
-// scheduling (verified by test); cycle estimates agree up to a few cycles of
-// barrier-wake jitter, because which hart's amoadd arrives last - and hence
-// whose cycle timestamps the wake - is resolved by the physical race, as on
-// the real hardware.
 //
 // Resident-program cache: load_program() keys programs by content identity
 // (iss::program_fingerprint + full word compare) and keeps every program it
@@ -53,7 +47,7 @@
 // -------------------------
 // The DUT workloads are SPMD: every hart of a cluster runs the same kernel
 // and re-converges at barriers, so at a scheduling-pass boundary most awake
-// harts sit at the *same pc*. Both run modes exploit this: when the next
+// harts sit at the *same pc*. run() exploits this: when the next
 // `kMinBatchWidth` to `kMaxBatchWidth` consecutive harts of the run list
 // share a pc, they form a *convergence batch* and the dispatcher executes the
 // shared superblock instruction-major, hart-minor - one translation lookup
@@ -101,10 +95,10 @@
 //    replay ENDS when the global stop flag is up at a sweep boundary (every
 //    live follower then retired exactly one instruction past the stop, like
 //    the serial harts scheduled after it), when a wake lands in the run
-//    list (run() only), or when the trace is exhausted. A follower that
-//    leaves the replay still runnable finishes the REMAINDER of its turn
-//    through the unmodified serial exec_quantum, in member order, with the
-//    scan position parked on it - so each hart's turn retires exactly the
+//    list, or when the trace is exhausted. A follower that leaves the
+//    replay still runnable finishes the REMAINDER of its turn through the
+//    unmodified serial exec_quantum, in member order, with the scan
+//    position parked on it - so each hart's turn retires exactly the
 //    instructions its serial turn would have.
 //  - Visit order: the batch occupies consecutive list positions; after the
 //    turn the scan continues past the batch, and parked/halted members are
@@ -123,17 +117,13 @@
 // instead of between the members' turns, so its loads can see member
 // stores that a serial interleaving would have ordered after it. The
 // kernels in this repo keep per-hart data disjoint and exit from hart 0,
-// and the differential tests in iss_test/threading_test enforce exact
-// equality of cycles, registers, stalls, and wake timestamps on the
-// barrier+MMSE and deadlock workloads. run_threads() batches per shard, so
-// a convergence group spanning a shard boundary simply splits at it (and a
-// piece narrower than `kMinBatchWidth` runs serially).
+// and the differential tests in iss_test enforce exact equality of cycles,
+// registers, stalls, and wake timestamps on the barrier+MMSE and deadlock
+// workloads.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "iss/hart.h"
@@ -152,8 +142,7 @@ struct RunResult {
 };
 
 /// Statistics of the SPMD convergence-batch dispatch (see the header note).
-/// Counters accumulate across runs until Machine::reset_batch_stats(); in
-/// run_threads() each shard accumulates locally and merges on join.
+/// Counters accumulate across runs until Machine::reset_batch_stats().
 struct BatchStats {
   u64 lockstep_instructions = 0;  // retired inside lockstep sweeps
   u64 serial_instructions = 0;    // retired by the serial path (incl. finishes)
@@ -164,7 +153,7 @@ struct BatchStats {
   u64 run_entries = 0;            // entries swept, summed (avg run length)
   u64 split_divergence = 0;       // lockstep ended: members' pcs diverged
   u64 split_budget = 0;           //   per-member quantum exhausted
-  u64 split_wake = 0;             //   a wake landed in the run list (run())
+  u64 split_wake = 0;             //   a wake landed in the run list
   u64 split_stop = 0;             //   global stop observed mid-batch
   u64 split_drain = 0;            //   members parked/halted down to < 2
   std::vector<u64> width_hist;    // formations by width (index = width)
@@ -175,7 +164,6 @@ struct BatchStats {
   double lockstep_fraction() const;
   /// Smallest width W with >= p (in 0..1) of formations at width <= W.
   u64 width_percentile(double p) const;
-  void merge(const BatchStats& other);
 };
 
 class Machine {
@@ -184,6 +172,9 @@ class Machine {
   /// the cluster configuration).
   Machine(const tera::TeraPoolConfig& cluster, TimingConfig timing = {},
           u32 active_harts = 0);
+  // The memory's MMIO handlers capture `this`: a machine never moves.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   tera::ClusterMemory& memory() { return *mem_; }
   const tera::ClusterMemory& memory() const { return *mem_; }
@@ -218,11 +209,6 @@ class Machine {
   /// Every field of the RunResult is populated on every return path.
   RunResult run(u64 max_instructions = 0);
 
-  /// Runs with harts sharded across `n_threads` host threads, stopping after
-  /// `max_instructions` total retired instructions (0 = unlimited; the
-  /// budget is shared across shards and never overshoots).
-  RunResult run_threads(u32 n_threads, u64 max_instructions = 0);
-
   u32 num_harts() const { return soa_.size(); }
   /// Value snapshot of hart `i`, assembled from the SoA state (hart.h).
   Hart hart(u32 i) const { return soa_.snapshot(i); }
@@ -256,8 +242,7 @@ class Machine {
   /// Faults persist across reset_harts() (each reset re-arms them, so a
   /// faulted run is re-runnable bit-for-bit) until clear_hart_faults().
   /// Armed faults disable the convergence-batch fast path - the serial
-  /// oracle applies them at exact instruction boundaries - and are supported
-  /// on the single-threaded run() only (run_threads refuses). A fault whose
+  /// oracle applies them at exact instruction boundaries. A fault whose
   /// at_instret the hart never reaches simply does not fire. When no fault
   /// is armed every hook is one cold branch per scheduler turn: the hot loop
   /// is untouched (pinned by bench_iss_mips --guard).
@@ -279,7 +264,6 @@ class Machine {
   /// the timer/DMA-completion quiescence skip for long idle windows. Cycle
   /// accounting is identical to a cycle-by-cycle wait for the same wake.
   /// Events that never find a sleeping hart are dropped at run end.
-  /// Single-threaded run() only (run_threads refuses, like hart faults);
   /// reset_harts() clears pending events, and save_state refuses to capture
   /// with events pending (fire or drop them first).
   void schedule_wake_at(u32 hart, u64 at_cycle);
@@ -292,7 +276,7 @@ class Machine {
   /// with (hart id, pc, decoded instruction). Intended for debugging and
   /// trace tooling; when set, execution takes the per-instruction reference
   /// path instead of the superblock fast path (bit-identical results, see
-  /// translation.h). Only meaningful with single-threaded run().
+  /// translation.h).
   using TraceFn = std::function<void(u32 hart, u32 pc, const rv::Decoded&)>;
   void set_trace(TraceFn fn) { trace_ = std::move(fn); }
 
@@ -303,9 +287,9 @@ class Machine {
   /// selection, full memory contents, every HartArrays column, per-hart
   /// sleep states, the stop/exit flags, and the hart-fault schedule
   /// including armed-but-unfired entries. Callable only between runs -
-  /// run()/run_threads() normalize every hart to a serial instruction
-  /// boundary before returning, so there is no in-flight batch or run-list
-  /// state to capture (both are rebuilt from hart state on the next run).
+  /// run() normalizes every hart to a serial instruction boundary before
+  /// returning, so there is no in-flight batch or run-list state to capture
+  /// (both are rebuilt from hart state on the next run).
   /// Host-only counters (BatchStats) are deliberately excluded: they do not
   /// influence simulation results.
   void save_state(sim::SnapshotWriter& w) const;
@@ -370,29 +354,25 @@ class Machine {
   /// Replays a leader trace across followers `ids[0..count)` in lockstep,
   /// instruction-major, hart-minor (see header note). Fills `ends[k]` per
   /// formation index, and for kRun followers the unconsumed turn budget in
-  /// `rems[k]`. Returns instructions retired. Does NOT touch any run list -
-  /// the caller reconciles membership and finishes kRun followers serially.
+  /// `rems[k]`. Returns instructions retired. Does NOT touch the run list -
+  /// reconcile_batch settles membership and finishes kRun followers.
   u64 exec_followers_replay(const u32* ids, u32 count, u64 budget,
                             const std::vector<TraceRun>& trace, BatchEnd* ends,
-                            u64* rems, BatchStats& stats);
-  /// Width of the convergence batch at `list[pos..]`: consecutive harts at
-  /// the same pc, capped at `limit`; 1 (a serial turn) when that run, or
+                            u64* rems);
+  /// Width of the convergence batch at `awake_[pos_..]`: consecutive harts
+  /// at the same pc, capped at `limit`; 1 (a serial turn) when that run, or
   /// `limit`, is narrower than kMinBatchWidth.
-  u32 scan_convergent(const std::vector<u32>& list, size_t pos, u32 limit) const;
-  /// Shared member-reconcile of a convergence-batch turn (both run modes):
-  /// walks the members in formation (= serial visit) order, re-locating
-  /// each by id in the sorted `list`, applies its BatchEnd via the two
-  /// mode-specific callbacks, and finishes kRun members serially with their
-  /// remaining budget. `erase_at(pos, halted)` erases `list[pos]` and does
-  /// the mode's accounting (scan-position shift, awake/live counters);
-  /// `advance_to(pos)` sets the mode's scan position. Returns instructions
-  /// retired by the serial finishes. Defined in machine.cpp (only used
-  /// there).
-  template <typename EraseFn, typename AdvanceFn>
+  u32 scan_convergent(u32 limit) const;
+  /// Settles a convergence-batch turn in formation (= serial visit) order:
+  /// re-locates each member by id in the sorted run list, erases parked and
+  /// halted members, moves the scan position past the rest, and finishes
+  /// kRun members serially with their remaining budget. Returns instructions
+  /// retired by the serial finishes.
   u64 reconcile_batch(const u32* ids, u32 width, TurnEnd leader_end,
-                      const BatchEnd* follower_ends, const u64* rems,
-                      const std::vector<u32>& list, BatchStats& stats,
-                      EraseFn&& erase_at, AdvanceFn&& advance_to);
+                      const BatchEnd* follower_ends, const u64* rems);
+  /// Erases run-list position `pos`, keeping the scan position on the same
+  /// hart.
+  void erase_awake(size_t pos);
 
   /// Shared wfi bookkeeping after an instruction entered wfi. Returns true
   /// if the hart is now asleep (turn over), false if a pending wake was
@@ -425,11 +405,17 @@ class Machine {
   u64 program_switches_ = 0;
   u32 entry_pc_ = 0;
   HartArrays soa_;  // per-hart state, structure-of-arrays (see hart.h)
-  std::vector<std::atomic<u8>> sleep_;  // SleepState per hart
-  std::atomic<bool> stop_{false};
-  std::atomic<u32> exit_code_{0};
-  std::atomic<bool> exited_{false};
+  std::vector<u8> sleep_;  // SleepState per hart
+  bool stop_ = false;
+  u32 exit_code_ = 0;
+  bool exited_ = false;
   TraceFn trace_;
+  /// Issue cycle of the instruction executing now; the MMIO wake handler
+  /// stamps barrier releases with it. Only stores reach the wake register,
+  /// so the fast path refreshes it on store-class instructions only (the
+  /// traced reference path refreshes it every instruction; both are
+  /// observationally identical).
+  u64 current_cycle_ = 0;
 
   // ---- event-driven fast-forward ----
   struct WakeEvent {
@@ -460,36 +446,17 @@ class Machine {
   // ---- convergence batching ----
   bool batching_ = true;
   BatchStats bstats_;
-  std::mutex bstats_mutex_;          // run_threads shards merge their stats
-  bool st_batch_active_ = false;     // run(): follower replay in progress
-  bool st_batch_wake_ = false;       // run(): a wake hit st_awake_ mid-replay
-  std::vector<TraceRun> st_trace_;   // run(): leader-trace scratch
+  bool batch_active_ = false;         // follower replay in progress
+  bool batch_wake_ = false;           // a wake hit awake_ mid-replay
+  std::vector<TraceRun> leader_trace_;  // leader-trace scratch
 
-  // ---- single-threaded run() scheduler state ----
-  // The sorted awake-hart list; on_wake inserts woken harts directly (same
-  // host thread), preserving the exact visit order of a scan-all-harts
-  // round-robin, so cycle results are bit-identical to the previous
-  // implementation. No atomic sleep-state loads on this path.
-  bool st_mode_ = false;
-  std::vector<u32> st_awake_;
-  size_t st_pos_ = 0;
-
-  // ---- run_threads() scheduler state ----
-  // Each shard owns a run list; cross-thread wakes go through the target
-  // shard's mutex-protected inbox (wakes are rare: barrier releases).
-  // awake/pending counters give exact deadlock detection via the ordered
-  // triple-read snapshot in the worker loop (see machine.cpp).
-  struct WakeInbox {
-    std::mutex m;
-    std::vector<u32> ids;
-    std::atomic<u32> count{0};
-  };
-  bool mt_mode_ = false;
-  u32 shard_size_ = 1;
-  std::unique_ptr<WakeInbox[]> inboxes_;
-  std::atomic<u32> awake_count_{0};
-  std::atomic<u32> pending_wakes_{0};
-  std::atomic<i64> budget_left_{0};  // run_threads max_instructions pool
+  // ---- run() scheduler state ----
+  // The sorted awake-hart list; on_wake inserts woken harts directly,
+  // preserving the exact visit order of a scan-all-harts round-robin, so
+  // cycle results are bit-identical to it.
+  bool running_ = false;
+  std::vector<u32> awake_;
+  size_t pos_ = 0;
 };
 
 }  // namespace tsim::iss

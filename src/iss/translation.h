@@ -26,8 +26,8 @@
 // Only the *last* instruction of a run may branch or enter wfi; any
 // instruction may still fault (misaligned or unmapped access), which the
 // executor detects via the hart's `halted` flag. Bit-exactness with the
-// per-instruction reference path is enforced by `iss_test.cpp` /
-// `threading_test.cpp` (same registers, memory, and cycle counts).
+// per-instruction reference path is enforced by `iss_test.cpp` (same
+// registers, memory, and cycle counts).
 //
 // Pointer stability and the convergence-batch consumer
 // ----------------------------------------------------

@@ -24,7 +24,9 @@ AssignPolicy parse_policy(const std::string& name) {
 void ClusterPoolConfig::validate() const {
   check(num_clusters >= 1, "ClusterPoolConfig: need at least one cluster");
   check(host_threads >= 1, "ClusterPoolConfig: need at least one host thread");
-  check(threads_per_cluster >= 1, "ClusterPoolConfig: threads_per_cluster >= 1");
+  check(threads_per_cluster == 1,
+        "ClusterPoolConfig: threads_per_cluster must be 1 (intra-cluster "
+        "threading was removed; clusters run in parallel via host_threads)");
   check(problems_per_core >= 1, "ClusterPoolConfig: problems_per_core >= 1");
   cluster.validate();
   fault.validate();
@@ -583,11 +585,8 @@ void SlotScheduler::run_batch(Cluster& cluster, const BatchTask& task,
                                cfg_.fault, slot.tti, batch_index);
   }
 
-  // Armed hart faults are applied by the serial run() oracle only.
-  const bool forced_serial = machine.hart_faults_armed();
-  const iss::RunResult run = (cfg_.threads_per_cluster > 1 && !forced_serial)
-                                 ? machine.run_threads(cfg_.threads_per_cluster)
-                                 : machine.run();
+  const bool faults_armed = machine.hart_faults_armed();
+  const iss::RunResult run = machine.run();
   const bool completed = run.exited && !run.deadlock;
   if (!completed) {
     // Graceful degradation only under an explicit fault plan: a stuck or
@@ -597,7 +596,7 @@ void SlotScheduler::run_batch(Cluster& cluster, const BatchTask& task,
     check(cfg_.fault.enabled, "SlotScheduler: batch run did not complete");
   }
   const u32 hart_faults = machine.hart_faults_applied();
-  if (forced_serial) machine.clear_hart_faults();
+  if (faults_armed) machine.clear_hart_faults();
   const u64 cycles = machine.estimated_cycles();
 
   // Read back detections and count errors against the transmitted bits. A

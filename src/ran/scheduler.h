@@ -32,11 +32,9 @@
 // cluster next; each cluster consumes its own queue in the precomputed
 // order, so residency transitions, reload counts, and per-cluster cycle
 // accounting (hence latency/utilization reports) are identical for every
-// host_threads value. Within one batch run,
-// Machine::run_threads(threads_per_cluster) may shard the cluster's harts
-// over further host threads: functional results stay bit-identical to
-// run(), cycle estimates agree up to the barrier-wake jitter (see
-// machine.h).
+// host_threads value. Each batch runs on one host thread through the
+// deterministic Machine::run(), so every report is bit-identical across
+// host_threads values too.
 //
 // Program reloads are explicit in the accounting: every geometry switch on a
 // cluster is counted in BatchTrace::reloads and charged
@@ -118,7 +116,9 @@ inline u64 program_reload_cycles(u32 image_bytes, const tera::DmaConfig& dma = {
 struct ClusterPoolConfig {
   u32 num_clusters = 2;        // emulated DUT clusters processing in parallel
   u32 host_threads = 2;        // host pool threads driving the clusters
-  u32 threads_per_cluster = 1; // Machine::run_threads shards within one batch
+  /// Must be 1: intra-cluster host threading was removed, and validate()
+  /// rejects anything else. Kept only until perfbench stops copying it.
+  u32 threads_per_cluster = 1;
   tera::TeraPoolConfig cluster = tera::TeraPoolConfig::tiny();
   kern::Precision prec = kern::Precision::k16CDotp;
   u32 problems_per_core = 4;

@@ -8,7 +8,7 @@
 // The assembler, decoder, disassembler, fast ISS and cycle-accurate uarch
 // model all consume this table, so encode/decode agreement holds by
 // construction. The custom-extension encodings (Xpulpimg, SmallFloat) are
-// repo-defined in the RISC-V custom-0/2/3 opcode spaces; see DESIGN.md.
+// repo-defined in the RISC-V custom-0/2/3 opcode spaces; see EXPERIMENTS.md.
 #pragma once
 
 #include <span>

@@ -1,8 +1,9 @@
 // Memory interface seen by instruction semantics.
 //
 // Implemented by tera::ClusterMemory (L1 scratchpad + L2 + MMIO). Atomic
-// read-modify-write goes through a single `amo` entry point so that
-// multi-threaded host execution can implement it with host atomics.
+// read-modify-write goes through a single `amo` entry point; an engine
+// applies it indivisibly with respect to its own harts, which all run on
+// one host thread, so no host atomics are involved.
 #pragma once
 
 #include "common/types.h"

@@ -75,8 +75,7 @@ BerPoint McRunner::dut_point(kern::Precision prec, double snr_db) {
       }
     }
     machine.reset_harts();
-    const auto result = (cfg_.host_threads > 1) ? machine.run_threads(cfg_.host_threads)
-                                                : machine.run();
+    const auto result = machine.run();
     check(result.exited && !result.deadlock, "dut_point: DUT run did not complete");
     for (u32 core = 0; core < lay.num_cores; ++core) {
       for (u32 p = 0; p < lay.problems_per_core; ++p) {

@@ -28,7 +28,6 @@ struct McConfig {
   tera::TeraPoolConfig cluster = tera::TeraPoolConfig::tiny();
   u32 batch_cores = 0;        // 0 = auto (as many as fit)
   u32 problems_per_core = 4;
-  u32 host_threads = 1;       // >1 shards harts across host threads
 };
 
 struct BerPoint {

@@ -185,7 +185,8 @@ struct MiniFormat {
 
 /// IEEE-754 binary16.
 using F16 = MiniFormat<5, 10>;
-/// MiniFloat e4m3 (default FP8 of this repo; see DESIGN.md on the paper's 1-4-2).
+/// MiniFloat e4m3 (an alternative FP8; the DUT default is F8E4M2, see
+/// rv/fp_formats.h and EXPERIMENTS.md).
 using F8E4M3 = MiniFormat<4, 3>;
 /// SmallFloat binary8 (e5m2).
 using F8E5M2 = MiniFormat<5, 2>;

@@ -24,7 +24,7 @@ void ClusterMemory::mmio_store(u32 word_index, u32 value) {
       if (on_wake_) on_wake_(value);
       break;
     default:
-      atomic_store_word(mmio_[word_index], value);
+      mmio_[word_index] = value;
       break;
   }
 }
@@ -36,36 +36,25 @@ rv::MemResult ClusterMemory::amo(rv::AmoOp op, u32 addr, u32 value) {
   u32& slot = (r->space == Space::kL1)   ? l1_[r->phys_word]
               : (r->space == Space::kL2) ? l2_[r->phys_word]
                                          : mmio_[r->phys_word];
-  std::atomic_ref<u32> ref(slot);
+  const u32 old = slot;
   using rv::AmoOp;
   switch (op) {
-    case AmoOp::kSwap: return {ref.exchange(value, std::memory_order_acq_rel), false};
-    case AmoOp::kAdd: return {ref.fetch_add(value, std::memory_order_acq_rel), false};
-    case AmoOp::kXor: return {ref.fetch_xor(value, std::memory_order_acq_rel), false};
-    case AmoOp::kAnd: return {ref.fetch_and(value, std::memory_order_acq_rel), false};
-    case AmoOp::kOr: return {ref.fetch_or(value, std::memory_order_acq_rel), false};
+    case AmoOp::kSwap: slot = value; break;
+    case AmoOp::kAdd: slot = old + value; break;
+    case AmoOp::kXor: slot = old ^ value; break;
+    case AmoOp::kAnd: slot = old & value; break;
+    case AmoOp::kOr: slot = old | value; break;
     case AmoOp::kMin:
+      slot = static_cast<i32>(value) < static_cast<i32>(old) ? value : old;
+      break;
     case AmoOp::kMax:
-    case AmoOp::kMinu:
-    case AmoOp::kMaxu: {
-      u32 old = ref.load(std::memory_order_acquire);
-      while (true) {
-        u32 next = old;
-        switch (op) {
-          case AmoOp::kMin:
-            next = (static_cast<i32>(value) < static_cast<i32>(old)) ? value : old;
-            break;
-          case AmoOp::kMax:
-            next = (static_cast<i32>(value) > static_cast<i32>(old)) ? value : old;
-            break;
-          case AmoOp::kMinu: next = value < old ? value : old; break;
-          default: next = value > old ? value : old; break;
-        }
-        if (ref.compare_exchange_weak(old, next, std::memory_order_acq_rel)) return {old, false};
-      }
-    }
+      slot = static_cast<i32>(value) > static_cast<i32>(old) ? value : old;
+      break;
+    case AmoOp::kMinu: slot = value < old ? value : old; break;
+    case AmoOp::kMaxu: slot = value > old ? value : old; break;
+    default: return {0, true};
   }
-  return {0, true};
+  return {old, false};
 }
 
 rv::MemResult ClusterMemory::fetch(u32 addr) {

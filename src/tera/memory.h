@@ -1,19 +1,17 @@
 // Cluster memory system: L1 scratchpad banks + L2 + MMIO, implementing the
 // rv::MemIface used by instruction semantics.
 //
-// Thread-safety: word accesses use relaxed std::atomic_ref (free on x86);
-// sub-word stores merge via CAS; AMOs are genuine host atomics. This lets
-// multiple host threads execute disjoint groups of harts concurrently, with
-// the DUT software's own barriers (amoadd + wfi/wake) as the only
-// synchronization - mirroring how Banshee runs harts on parallel threads.
+// Thread-safety: none. One ClusterMemory belongs to one machine, and a
+// machine runs on one host thread at a time, so word accesses, sub-word
+// merges and AMOs are plain loads, stores and read-modify-writes. Host
+// parallelism runs whole machines side by side and never shares a memory.
 //
 // The load/store/amo hot paths are defined inline here: the ISS calls them
 // through the concrete ClusterMemory type (devirtualized by the rv::execute
 // template), so keeping the bodies visible lets the compiler inline the
-// route + atomic access into the instruction dispatch loop.
+// route + word access into the instruction dispatch loop.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <span>
 #include <string>
@@ -55,7 +53,9 @@ class ClusterMemory final : public rv::MemIface {
       return false;
     }
     u32& slot = (r->space == Space::kL1) ? l1_[r->phys_word] : l2_[r->phys_word];
-    atomic_merge(slot, addr & 3, value, bytes);
+    const u32 shift = (addr & 3) * 8;
+    const u32 mask = (bytes == 1 ? 0xFFu : 0xFFFFu) << shift;
+    slot = (slot & ~mask) | ((value << shift) & mask);
     return false;
   }
 
@@ -93,38 +93,18 @@ class ClusterMemory final : public rv::MemIface {
   const AddrMap& map() const { return map_; }
 
  private:
-  /// Relaxed atomic word view over plain storage. x86 codegen is a plain
-  /// mov; the atomicity only matters when host threads shard harts.
-  static u32 atomic_load_word(const u32& slot) {
-    return std::atomic_ref<u32>(const_cast<u32&>(slot)).load(std::memory_order_relaxed);
-  }
-  static void atomic_store_word(u32& slot, u32 v) {
-    std::atomic_ref<u32>(slot).store(v, std::memory_order_relaxed);
-  }
-  /// Merges `bytes` of `value` into `slot` at byte offset `off` atomically.
-  static void atomic_merge(u32& slot, u32 off, u32 value, u32 bytes) {
-    const u32 shift = off * 8;
-    const u32 mask = (bytes == 1 ? 0xFFu : 0xFFFFu) << shift;
-    std::atomic_ref<u32> ref(slot);
-    u32 old = ref.load(std::memory_order_relaxed);
-    const u32 insert = (value << shift) & mask;
-    while (!ref.compare_exchange_weak(old, (old & ~mask) | insert,
-                                      std::memory_order_relaxed)) {
-    }
-  }
-
   u32 word_load(const Route& r) const {
     switch (r.space) {
-      case Space::kL1: return atomic_load_word(l1_[r.phys_word]);
-      case Space::kL2: return atomic_load_word(l2_[r.phys_word]);
-      case Space::kMmio: return atomic_load_word(mmio_[r.phys_word]);
+      case Space::kL1: return l1_[r.phys_word];
+      case Space::kL2: return l2_[r.phys_word];
+      case Space::kMmio: return mmio_[r.phys_word];
     }
     return 0;
   }
   void word_store(const Route& r, u32 value) {
     switch (r.space) {
-      case Space::kL1: atomic_store_word(l1_[r.phys_word], value); break;
-      case Space::kL2: atomic_store_word(l2_[r.phys_word], value); break;
+      case Space::kL1: l1_[r.phys_word] = value; break;
+      case Space::kL2: l2_[r.phys_word] = value; break;
       case Space::kMmio: mmio_store(r.phys_word, value); break;
     }
   }

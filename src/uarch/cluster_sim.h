@@ -1,5 +1,5 @@
 // Cycle-accurate TeraPool cluster model - this repo's stand-in for RTL
-// simulation (see DESIGN.md substitution table).
+// simulation (see EXPERIMENTS.md, "Substitutions").
 //
 // Models, per cycle:
 //  - Snitch in-order single-issue pipeline with a register scoreboard

@@ -162,18 +162,20 @@ TEST(E2E, UarchCyclesExceedIssEstimate) {
   EXPECT_LT(err, 0.35);
 }
 
-TEST(E2E, MultiThreadBerMatchesSingleThread) {
+TEST(E2E, McRunnerSweepIsDeterministic) {
   McConfig cfg = small_config(4, 4, 16, phy::ChannelType::kAwgn);
-  cfg.target_errors = 40;
-  cfg.max_bits = 40'000;
-  McRunner single(cfg);
-  cfg.host_threads = 2;
-  McRunner multi(cfg);
-  const auto p1 = single.dut_point(Precision::k16CDotp, 10.0);
-  const auto p2 = multi.dut_point(Precision::k16CDotp, 10.0);
-  // Identical seeds and bit-true kernels: exactly the same errors counted.
-  EXPECT_EQ(p1.errors, p2.errors);
-  EXPECT_EQ(p1.bits, p2.bits);
+  cfg.target_errors = 30;
+  cfg.max_bits = 30'000;
+
+  McRunner a(cfg);
+  McRunner b(cfg);
+  const auto sweep_a = a.dut_sweep(Precision::k16WDotp, {8.0, 12.0});
+  const auto sweep_b = b.dut_sweep(Precision::k16WDotp, {8.0, 12.0});
+  ASSERT_EQ(sweep_a.size(), sweep_b.size());
+  for (size_t i = 0; i < sweep_a.size(); ++i) {
+    EXPECT_EQ(sweep_a[i].errors, sweep_b[i].errors);
+    EXPECT_EQ(sweep_a[i].bits, sweep_b[i].bits);
+  }
 }
 
 TEST(E2E, StageAndReadBackRoundTrip) {

@@ -97,12 +97,6 @@ TEST(FastForwardMachine, EventsAreExactlyReplayableAfterReset) {
   EXPECT_EQ(a->pending_wake_events(), 0u);
 }
 
-TEST(FastForwardMachine, ThreadedRunRefusesPendingEvents) {
-  auto m = parked_machine(4);
-  m->schedule_wake_at(~0u, 100);
-  EXPECT_THROW(m->run_threads(2), SimError);
-}
-
 // ---- ran::SlotScheduler batch shrink ----
 
 ran::TrafficConfig partial_traffic() {

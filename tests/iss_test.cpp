@@ -1,12 +1,15 @@
 // Fast ISS tests: program execution, timing model (static latencies + RAW
 // scoreboard), multi-hart scheduling, barriers, wfi/wake, determinism, and
-// single- vs multi-thread equivalence.
+// equivalence of the superblock, convergence-batched and per-instruction
+// reference paths.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "iss/machine.h"
+#include "kernels/mmse_program.h"
 #include "rvasm/textasm.h"
+#include "sim/cosim.h"
 #include "tera/addr_map.h"
 
 namespace tsim::iss {
@@ -14,8 +17,8 @@ namespace {
 
 rvasm::Program prog(const std::string& text) { return rvasm::assemble(text); }
 
-/// Convenience: machine with N harts on the tiny cluster. (Machine holds
-/// atomics, so it is neither movable nor copyable - heap-allocate it.)
+/// Convenience: machine with N harts on the tiny cluster. (Machine is neither
+/// movable nor copyable - heap-allocate it.)
 std::unique_ptr<Machine> make_machine(const std::string& text, u32 harts = 1,
                                       TimingConfig t = {},
                                       const tera::TeraPoolConfig& cluster =
@@ -238,24 +241,6 @@ TEST(IssMultiHart, BarrierAndSharedMemory) {
   EXPECT_EQ(r.exit_code, 1u + 2 + 3 + 4);
 }
 
-TEST(IssMultiHart, MultiThreadMatchesSingleThread) {
-  Machine single(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
-  single.load_program(prog(kParallelSum));
-  const auto r1 = single.run();
-
-  Machine multi(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
-  multi.load_program(prog(kParallelSum));
-  const auto r2 = multi.run_threads(2);
-
-  EXPECT_TRUE(r2.exited);
-  EXPECT_EQ(r1.exit_code, r2.exit_code);
-  // The shared-memory result is schedule-independent. (Per-hart instruction
-  // counts of the post-exit park loops are not: the exit store races with
-  // other harts' parking, exactly as on the real hardware.)
-  EXPECT_EQ(single.memory().host_read_word(0x200),
-            multi.memory().host_read_word(0x200));
-}
-
 TEST(IssMultiHart, RerunAfterResetIsDeterministic) {
   Machine m(tera::TeraPoolConfig::tiny(), TimingConfig{}, 4);
   m.load_program(prog(kParallelSum));
@@ -307,23 +292,6 @@ TEST(Iss, ExitOnExactInstructionBudgetIsReported) {
   EXPECT_EQ(r.instructions, 3u);
   EXPECT_TRUE(r.exited);
   EXPECT_EQ(r.exit_code, 5u);
-
-  // Same program under a multi-threaded run with the same budget.
-  auto mt = make_machine(body);
-  const auto rt = mt->run_threads(1, 3);
-  EXPECT_EQ(rt.instructions, 3u);
-  EXPECT_TRUE(rt.exited);
-  EXPECT_EQ(rt.exit_code, 5u);
-}
-
-TEST(Iss, RunThreadsHonoursMaxInstructions) {
-  // run_threads used to silently ignore the budget; now it is a shared pool
-  // claimed quantum-by-quantum and never overshoots.
-  auto m = make_machine("_start:\n j _start\n", 4);
-  const auto r = m->run_threads(2, 1000);
-  EXPECT_EQ(r.instructions, 1000u);
-  EXPECT_FALSE(r.exited);
-  EXPECT_FALSE(r.deadlock);
 }
 
 TEST(Iss, TranslationCacheCoversProgram) {
@@ -643,15 +611,6 @@ TEST(IssBatch, BudgetedRunsAreExactAndIdenticalToSerial) {
   expect_harts_identical(*batched, *serial);
   EXPECT_GT(batched->batch_stats().batches, 0u);
   EXPECT_EQ(batched->batch_stats().width_max, 10u);
-
-  // run_threads shares the budget pool across shards; batched turns claim
-  // width*quantum and must never overshoot either.
-  auto mt = make_machine("_start:\n j _start\n", kHarts);
-  const auto rt = mt->run_threads(2, kBudget);
-  EXPECT_EQ(rt.instructions, kBudget);
-  EXPECT_FALSE(rt.exited);
-  EXPECT_FALSE(rt.deadlock);
-  EXPECT_GT(mt->batch_stats().batches, 0u);
 }
 
 TEST(IssBatch, ScWakeTimestampsMatchSerial) {
@@ -714,8 +673,6 @@ TEST(IssBatch, NarrowGroupsTakeSerialTurns) {
     // Sixteen harts split by mhartid into a group of 12 and a group of 4.
     // Both loops outlast a quantum, so the groups re-converge at their own
     // pcs: the 12 re-form a batch each turn and the 4 take serial turns.
-    // Under run_threads(2) the shards are harts 0-7 and 8-15, so only the
-    // first shard's turns after the split are wide enough to batch.
     SCOPED_TRACE("groups of 12 and 4");
     const char* body = R"(
       _start:
@@ -744,18 +701,12 @@ TEST(IssBatch, NarrowGroupsTakeSerialTurns) {
     const auto rs = serial->run();
     auto batched = make_machine(body, kHarts);
     const auto rb = batched->run();
-    auto sharded = make_machine(body, kHarts);
-    const auto rt = sharded->run_threads(2);
     EXPECT_EQ(rb.instructions, rs.instructions);
-    EXPECT_EQ(rt.instructions, rs.instructions);
     expect_harts_identical(*batched, *serial);
-    expect_harts_identical(*sharded, *serial);
-    for (const Machine* m : {batched.get(), sharded.get()}) {
-      const BatchStats& st = m->batch_stats();
-      EXPECT_GT(st.batches, 0u);
-      for (u32 w = 0; w < kMin && w < st.width_hist.size(); ++w)
-        EXPECT_EQ(st.width_hist[w], 0u) << "width " << w;
-    }
+    const BatchStats& st = batched->batch_stats();
+    EXPECT_GT(st.batches, 0u);
+    for (u32 w = 0; w < kMin && w < st.width_hist.size(); ++w)
+      EXPECT_EQ(st.width_hist[w], 0u) << "width " << w;
   }
 }
 
@@ -791,7 +742,7 @@ TEST(Iss, SuperblockFastPathMatchesTracedReferenceOnBarriers) {
 // which expect_harts_identical does not cover - against the serial oracle
 // and the per-instruction traced reference across the state transitions the
 // column passes handle specially (divergence splits, park/wake, budget
-// cuts, shard boundaries, generic-op fallbacks).
+// cuts, generic-op fallbacks).
 
 /// Hart-for-hart equality including the 32-entry RAW scoreboard snapshot.
 void expect_scoreboards_identical(const Machine& a, const Machine& b) {
@@ -874,41 +825,6 @@ TEST(IssSoa, MidSuperblockBudgetCutMatchesSerial) {
   }
 }
 
-TEST(IssSoa, ThreeThreadUnevenShardsMatchSerial) {
-  // 26 harts over 3 host threads: uneven shards (9/9/8, each wide enough to
-  // batch) exercise the column-array sharding boundaries of run_threads.
-  // The workload is interaction-free (per-hart loop then ebreak) so per-hart
-  // state is shard-placement independent and must match the single-threaded
-  // serial oracle exactly, scoreboard included. (Wake-coupled workloads
-  // cannot be cycle-exact across thread counts - wake arrival is
-  // cross-thread timing.)
-  const char* body = R"(
-    _start:
-      csrr t0, mhartid
-      addi t1, t0, 1      # hartid+1 iterations: every shard is heterogeneous
-    loop:
-      addi s0, s0, 3
-      mul s1, s0, t1
-      addi t1, t1, -1
-      bnez t1, loop
-      ebreak
-  )";
-  constexpr u32 kHarts = 26;
-  tera::TeraPoolConfig cluster = tera::TeraPoolConfig::tiny();
-  cluster.groups = 4;  // 32 cores
-  auto sharded = make_machine(body, kHarts, {}, cluster);
-  const auto rt = sharded->run_threads(3);
-  auto serial = make_machine(body, kHarts, {}, cluster);
-  serial->set_batching(false);
-  const auto rs = serial->run();
-  EXPECT_FALSE(rt.exited);
-  EXPECT_FALSE(rt.deadlock);
-  EXPECT_EQ(rt.instructions, rs.instructions);
-  expect_scoreboards_identical(*sharded, *serial);
-  for (u32 h = 0; h < kHarts; ++h) EXPECT_TRUE(sharded->hart(h).state.halted) << h;
-  EXPECT_GT(sharded->batch_stats().batches, 0u);
-}
-
 TEST(IssSoa, GenericFallbackOpsMatchSerial) {
   // Ops without a specialized sweep kernel (xor/or/and/srl/slt...) run
   // through the generic per-member loop inside a batch; mixing them with
@@ -940,6 +856,80 @@ TEST(IssSoa, GenericFallbackOpsMatchSerial) {
   EXPECT_EQ(rb.instructions, rs.instructions);
   expect_scoreboards_identical(*batched, *serial);
   EXPECT_GT(batched->batch_stats().batches, 0u);
+}
+
+// ----- the real workload: barrier-synchronized parallel MMSE -----
+
+/// Machine running the 4x4 16-bit MMSE kernel on `num_cores` harts of the
+/// tiny cluster, one staged Rayleigh problem per core.
+std::unique_ptr<Machine> mmse_machine(const kern::MmseLayout& lay, u64 seed) {
+  auto m = std::make_unique<Machine>(lay.cluster, TimingConfig{}, lay.num_cores);
+  m->load_program(kern::build_mmse_program(lay));
+  Rng rng(seed);
+  phy::Channel ch(phy::ChannelType::kRayleigh, lay.nrx, lay.ntx);
+  phy::QamModulator qam(16);
+  const sim::Batch batch = sim::generate_batch(ch, qam, lay.ntx, lay.num_cores, 12.0, rng);
+  for (u32 c = 0; c < lay.num_cores; ++c)
+    sim::stage_problem(m->memory(), lay, c, 0, batch.problems[c]);
+  return m;
+}
+
+kern::MmseLayout mmse_layout(u32 num_cores) {
+  kern::MmseLayout lay;
+  lay.prec = kern::Precision::k16CDotp;
+  lay.problems_per_core = 1;
+  lay.num_cores = num_cores;
+  lay.cluster = tera::TeraPoolConfig::tiny();
+  lay.validate();
+  return lay;
+}
+
+/// Detections, exit state and every per-hart counter agree exactly.
+void expect_mmse_identical(const kern::MmseLayout& lay, const Machine& a,
+                           const RunResult& ra, const Machine& b, const RunResult& rb) {
+  ASSERT_TRUE(ra.exited && rb.exited);
+  EXPECT_EQ(ra.exit_code, rb.exit_code);
+  EXPECT_EQ(ra.instructions, rb.instructions);
+  for (u32 c = 0; c < lay.num_cores; ++c)
+    EXPECT_EQ(sim::read_xhat(a.memory(), lay, c, 0), sim::read_xhat(b.memory(), lay, c, 0))
+        << "core " << c;
+  expect_harts_identical(a, b);
+  EXPECT_EQ(a.estimated_cycles(), b.estimated_cycles());
+}
+
+// The superblock fast path (translation.h) must be bit- and cycle-identical
+// to the per-instruction reference path. Setting a (no-op) trace hook forces
+// the reference path, which performs one translation-cache lookup per
+// instruction and ignores the precomputed run lengths entirely, so this
+// exercises the superblock boundary computation end to end on a real
+// barrier-synchronized MMSE workload.
+TEST(IssMmse, SuperblockFastPathMatchesPerInstructionReference) {
+  const kern::MmseLayout lay = mmse_layout(8);
+  auto fast = mmse_machine(lay, 99);
+  const auto rf = fast->run();
+  auto ref = mmse_machine(lay, 99);
+  ref->set_trace([](u32, u32, const rv::Decoded&) {});
+  const auto rr = ref->run();
+  expect_mmse_identical(lay, *fast, rf, *ref, rr);
+}
+
+// The SPMD convergence-batch dispatch (machine.h) must be bit- and
+// cycle-identical to the serial superblock path on the real barrier-
+// synchronized MMSE workload - registers, detections, cycles, and stall
+// accounting (the serial path is the oracle; the traced reference path is
+// its oracle in turn, covered above).
+TEST(IssMmse, BatchedDispatchMatchesSerialOnMmseWorkload) {
+  const kern::MmseLayout lay = mmse_layout(8);
+  auto batched = mmse_machine(lay, 99);
+  ASSERT_TRUE(batched->batching());  // default on
+  const auto rb = batched->run();
+  auto serial = mmse_machine(lay, 99);
+  serial->set_batching(false);
+  const auto rs = serial->run();
+  expect_mmse_identical(lay, *batched, rb, *serial, rs);
+  // Most instructions took the lockstep path on this SPMD workload.
+  EXPECT_GT(batched->batch_stats().lockstep_fraction(), 0.5);
+  EXPECT_EQ(serial->batch_stats().batches, 0u);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(Layout, MaxParallelCoresFitsL1) {
   const auto cluster = tera::TeraPoolConfig::full();
   const u32 fit = MmseLayout::max_parallel_cores(cluster, 32, 32, Precision::k16Half);
   EXPECT_GT(fit, 0u);
-  EXPECT_LT(fit, 1024u);  // 32x32 cannot fit 1024 problems (see DESIGN.md)
+  EXPECT_LT(fit, 1024u);  // 32x32 cannot fit 1024 problems (see EXPERIMENTS.md)
   const u32 fit4 = MmseLayout::max_parallel_cores(cluster, 4, 4, Precision::k16Half);
   EXPECT_EQ(fit4, 1024u);  // 4x4 does fit the full cluster
   MmseLayout lay = make_layout(32, 32, Precision::k16Half, fit);

@@ -211,22 +211,19 @@ TEST(Scheduler, DeterministicAcrossHostThreadCounts) {
   }
 }
 
-TEST(Scheduler, IntraClusterShardingIsBitIdentical) {
-  const TrafficConfig tcfg = one_group_traffic();
-  TrafficGenerator gen(tcfg);
-  const SlotWorkload slot = gen.slot(2);
-
-  ClusterPoolConfig one = small_pool(2, 2);
-  ClusterPoolConfig sharded = small_pool(2, 2);
-  sharded.threads_per_cluster = 2;
-  const SlotResult a = SlotScheduler(one, tcfg.groups).run_slot(slot);
-  const SlotResult b = SlotScheduler(sharded, tcfg.groups).run_slot(slot);
-  EXPECT_EQ(a.detected_bits, b.detected_bits);
-  EXPECT_EQ(a.errors, b.errors);
-  // Cycle accounting agrees up to the barrier-wake jitter of run_threads
-  // (see machine.h), which is a few cycles per batch.
-  EXPECT_NEAR(static_cast<double>(a.slot_cycles), static_cast<double>(b.slot_cycles),
-              0.01 * static_cast<double>(a.slot_cycles));
+TEST(Scheduler, RejectsIntraClusterThreads) {
+  // Each cluster runs on one host thread; the leftover knob must say so
+  // instead of being silently ignored.
+  ClusterPoolConfig pool = small_pool(2, 2);
+  pool.threads_per_cluster = 2;
+  try {
+    SlotScheduler sched(pool, one_group_traffic().groups);
+    FAIL() << "threads_per_cluster = 2 was accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos) << e.what();
+  }
+  pool.threads_per_cluster = 1;
+  EXPECT_NO_THROW(SlotScheduler(pool, one_group_traffic().groups));
 }
 
 TEST(Scheduler, HandlesHeterogeneousGeometriesAndConstellations) {

@@ -1,6 +1,6 @@
 // Full-scale smoke tests: the complete 1024-core TeraPool configuration
-// (the paper's DUT) running the parallel MMSE on the fast ISS, single- and
-// multi-threaded, plus capacity boundaries. Slower than unit tests by
+// (the paper's DUT) running the parallel MMSE on the fast ISS, plus capacity
+// boundaries. Slower than unit tests by
 // design (a few seconds total).
 #include <gtest/gtest.h>
 
@@ -44,7 +44,7 @@ TEST(Scale, Full1024CoreParallelMmseCompletes) {
   for (u32 c = 0; c < 1024; ++c)
     sim::stage_problem(machine.memory(), lay, c, 0, batch.problems[c]);
 
-  const auto res = machine.run_threads(2);
+  const auto res = machine.run();
   EXPECT_TRUE(res.exited);
   EXPECT_FALSE(res.deadlock);
   EXPECT_GT(res.instructions, 1024u * 500);
@@ -65,7 +65,7 @@ TEST(Scale, Full1024CoreParallelMmseCompletes) {
 }
 
 TEST(Scale, LargestMimoAtMaxFittingCores) {
-  // 32x32 at the L1 capacity limit (see DESIGN.md: 1024 cores do not fit).
+  // 32x32 at the L1 capacity limit (see EXPERIMENTS.md: 1024 cores do not fit).
   const u32 fit = MmseLayout::max_parallel_cores(tera::TeraPoolConfig::full(), 32, 32,
                                                  Precision::k16WDotp);
   ASSERT_GT(fit, 128u);
@@ -76,7 +76,7 @@ TEST(Scale, LargestMimoAtMaxFittingCores) {
   const auto batch = make_batch(32, 64, 78);
   for (u32 c = 0; c < 64; ++c)
     sim::stage_problem(machine.memory(), lay, c, 0, batch.problems[c]);
-  const auto res = machine.run_threads(2);
+  const auto res = machine.run();
   EXPECT_TRUE(res.exited);
   const auto& p = batch.problems[63];
   const auto golden = phy::mmse_detect(p.h, p.y, p.sigma2);
@@ -114,34 +114,6 @@ TEST(Scale, BatchedAndParallelModesAgreeBitExactly) {
     const auto b = sim::read_xhat(mp.memory(), parallel, p, 0);
     for (u32 i = 0; i < n; ++i) EXPECT_EQ(a[i], b[i]) << "problem " << p;
   }
-}
-
-TEST(Scale, PerHartCycleEstimatesAreThreadCountInvariant) {
-  // The ISS per-hart timing depends only on the hart's own stream and the
-  // barrier wake times, so 1-thread and 2-thread runs of the same parallel
-  // program must report identical busy cycles per hart (excluding the
-  // post-exit park race).
-  const auto lay = full_layout(4, Precision::k16Half, 32);
-  const auto program = kern::build_mmse_program(lay);
-  const auto batch = make_batch(4, 32, 80);
-
-  std::array<u64, 32> cycles1{}, cycles2{};
-  for (int pass = 0; pass < 2; ++pass) {
-    iss::Machine machine(lay.cluster, iss::TimingConfig{}, 32);
-    machine.load_program(program);
-    for (u32 c = 0; c < 32; ++c)
-      sim::stage_problem(machine.memory(), lay, c, 0, batch.problems[c]);
-    if (pass == 0) {
-      machine.run();
-    } else {
-      machine.run_threads(2);
-    }
-    for (u32 c = 0; c < 32; ++c) {
-      const auto prof = kern::read_profile(machine.memory(), lay, c);
-      (pass == 0 ? cycles1 : cycles2)[c] = prof.total;
-    }
-  }
-  for (u32 c = 0; c < 32; ++c) EXPECT_EQ(cycles1[c], cycles2[c]) << "hart " << c;
 }
 
 }  // namespace
