@@ -9,10 +9,10 @@
 //   ./dse_driver                 medium sweep (10 MHz carrier, 72 points)
 //   ./dse_driver --quick         CI-sized sweep (2 MHz carrier, 24 points)
 //   ./dse_driver --full          paper-scale carrier (1638 sc x 14 symbols)
-//   ./dse_driver --quick --json  also write ./dse_pareto.json (JSON rows in
-//                                the BENCH_*.json trajectory format; CI
-//                                validates and archives them - see
-//                                BENCH_dse_pareto.json for the history)
+//   ./dse_driver --quick --json  also write ./dse_pareto.json (JSON rows;
+//                                CI validates and archives them, and
+//                                tests/golden/dse_quick.json pins them
+//                                without the host-timed columns)
 //
 // Flags: --json [DIR] (default "."), --csv DIR, --ttis N, --threads N,
 // --clock GHZ, --seed S, --objectives LIST (comma-separated from

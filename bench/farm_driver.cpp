@@ -1,6 +1,6 @@
 // Multi-cell gNB farm soak driver: N independent cells of persistent UEs
 // with closed-loop HARQ traffic (src/mac/), shard-parallel across forked
-// worker processes, reported through the shared BENCH_*.json row format.
+// worker processes, reported through the shared JSON-row format.
 //
 //   ./farm_driver --quick                    CI-sized soak (2 MHz carrier)
 //   ./farm_driver --quick --shards 4         same numbers, 4 worker processes
@@ -10,7 +10,7 @@
 // The JSON rows are one CellReport per cell - exact integers only, and
 // independent of --shards and --threads - so CI's farm-smoke step diffs the
 // --shards 1 and --shards 2 outputs byte-for-byte to pin the shard-
-// invariance contract (see BENCH_farm_soak.json for the seeded history).
+// invariance contract (tests/golden/farm_*.json pin the rows themselves).
 //
 // Flags: --cells N, --ues N, --ttis N, --shards N, --threads N, --seed S,
 // --quick | --full, --no-harq (single-shot A/B baseline), --burst (on/off

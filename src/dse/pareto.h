@@ -59,8 +59,8 @@ std::vector<u32> pareto_front(const std::vector<PointMetrics>& points,
 
 /// One row per evaluated point - axes, metrics, and a `front` marker column
 /// ("1" = on the front) - in enumeration order. This is the single schema
-/// behind the human table, the CSV, and the JSON trajectory rows
-/// (BENCH_dse_pareto.json); dse_test pins its keys.
+/// behind the human table, the CSV, and the JSON trajectory rows; dse_test
+/// pins its keys and tests/golden/dse_quick.json the quick sweep's rows.
 sim::Table sweep_table(const SweepResult& result, const std::vector<u32>& front);
 
 /// The front rows only (same columns), for compact reporting.

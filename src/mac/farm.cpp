@@ -508,28 +508,6 @@ i64 newest_snapshot_tti(const FarmConfig& cfg, u32 cell) {
   return -1;
 }
 
-/// The wire text of a shard's rows, rendered to a string for the crash and
-/// garble harnesses (which write a deliberately truncated prefix). Values
-/// here are decimal integers and 'x' padding, so no escaping is needed.
-std::string render_json_rows(const std::vector<std::string>& header,
-                             const std::vector<std::vector<std::string>>& rows) {
-  std::string text = "[\n";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    text += "  {";
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (i != 0) text += ", ";
-      text += "\"";
-      text += header[i];
-      text += "\": \"";
-      text += rows[r][i];
-      text += "\"";
-    }
-    text += (r + 1 < rows.size()) ? "},\n" : "}\n";
-  }
-  text += "]\n";
-  return text;
-}
-
 /// Worker process body: simulate the shard's cells and stream their JSON
 /// rows, or enact the injected host fault. Host faults live entirely in
 /// this harness - the simulated cells are untouched - so a retried or
@@ -570,7 +548,7 @@ std::string render_json_rows(const std::vector<std::string>& header,
     // Crash: half the JSON, then die with a non-zero status (a worker that
     // segfaulted mid-stream). Garble: the same truncated JSON but a clean
     // exit - only the parse step can catch it.
-    const std::string text = render_json_rows(header, rows);
+    const std::string text = sim::render_json_rows(header, rows);
     std::fwrite(text.data(), 1, text.size() / 2, out);
     std::fclose(out);
     ::_exit(crash ? 9 : 0);

@@ -1,7 +1,7 @@
 // Multi-cluster slot scheduler: packs a SlotWorkload's subcarrier problems
-// into cluster-sized batches and dispatches them to a pool of emulated
-// TeraPool clusters (iss::Machine instances) over a work-stealing host
-// thread pool.
+// into cluster-sized batches and runs them on a pool of emulated TeraPool
+// clusters (iss::Machine instances), one host task per cluster: up to
+// host_threads workers each claim a whole cluster and run its batch queue.
 //
 // Batch-to-cluster assignment
 // ---------------------------
@@ -28,13 +28,14 @@
 // workload, the per-geometry calibration (itself a deterministic single-
 // threaded run; replaced by unit costs when only one cluster or one
 // geometry exists, where measured costs cannot change an assignment), and
-// the clusters' resident programs - never from host timing. The work-stealing pool only decides *which host thread* services a
-// cluster next; each cluster consumes its own queue in the precomputed
-// order, so residency transitions, reload counts, and per-cluster cycle
-// accounting (hence latency/utilization reports) are identical for every
-// host_threads value. Each batch runs on one host thread through the
-// deterministic Machine::run(), so every report is bit-identical across
-// host_threads values too.
+// the clusters' resident programs - never from host timing. Host threads
+// only decide *which worker* runs a cluster: a worker claims the next
+// cluster from a shared counter and runs that cluster's whole queue in the
+// precomputed order through the deterministic Machine::run(). Residency
+// transitions, reload counts, per-cluster cycle accounting and every report
+// are therefore bit-identical for every host_threads value. A failing batch
+// stops only its own cluster's queue; run_slot rethrows the lowest-index
+// failing cluster's error after all workers join.
 //
 // Program reloads are explicit in the accounting: every geometry switch on a
 // cluster is counted in BatchTrace::reloads and charged
@@ -78,7 +79,6 @@
 // (fault draws are parameterized by the full hart count).
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -115,7 +115,7 @@ inline u64 program_reload_cycles(u32 image_bytes, const tera::DmaConfig& dma = {
 
 struct ClusterPoolConfig {
   u32 num_clusters = 2;        // emulated DUT clusters processing in parallel
-  u32 host_threads = 2;        // host pool threads driving the clusters
+  u32 host_threads = 2;        // host worker threads (at most one per cluster)
   /// Must be 1: intra-cluster host threading was removed, and validate()
   /// rejects anything else. Kept only until perfbench stops copying it.
   u32 threads_per_cluster = 1;
@@ -331,6 +331,9 @@ class SlotScheduler {
       i64 handle = -1;
     };
     std::vector<Variant> variants;
+    /// Host-side fast-forward counters of the batches run here; touched only
+    /// by the worker that claimed this cluster (fast_forward_stats sums).
+    FastForwardStats ff;
   };
   struct BatchTask {
     u32 allocation = 0;
@@ -342,7 +345,8 @@ class SlotScheduler {
   u32 geometry_for(u32 ntx, u32 nrx);  // builds layout+program on first use
   /// Resident-program handle slot for geometry `g`'s shrunk variant at
   /// `cores` active cores on `cluster` (created on first use, handle -1).
-  /// The caller holds the cluster's busy flag, so no locking is needed.
+  /// Only the worker that claimed the cluster calls it, so no locking is
+  /// needed.
   i64& variant_handle(Cluster& cluster, u32 g, u32 cores) const;
   /// Builds the shrunk program variant of geometry `g` with `cores` active
   /// cores (all higher hartids park in crt0).
@@ -371,11 +375,6 @@ class SlotScheduler {
   std::vector<Cluster> clusters_;
   std::vector<u64> batch_errors_scratch_;  // per-batch error counts, one run_slot
   bool calibrated_ = false;                // real measured costs (not placeholder)
-  // Fast-forward observability (host-side only; workers run concurrently).
-  std::atomic<u64> ff_full_batches_{0};
-  std::atomic<u64> ff_shrunk_batches_{0};
-  std::atomic<u64> ff_cores_full_{0};
-  std::atomic<u64> ff_cores_run_{0};
 };
 
 }  // namespace tsim::ran

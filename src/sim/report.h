@@ -34,25 +34,33 @@ inline std::string json_escape(const std::string& s) {
 }
 }  // namespace detail
 
-/// The one JSON-row emitter shared by every trajectory writer (Table::
-/// write_json, the bench --json outputs, the DSE driver): a JSON array with
-/// one string-keyed object per row, values exactly as rendered in the table.
-/// Returns false (with a warning on stderr) when the file cannot be opened.
-inline void write_json_rows(std::FILE* f, const std::vector<std::string>& header,
-                            const std::vector<std::vector<std::string>>& rows) {
-  std::fprintf(f, "[\n");
+/// The one JSON-row renderer shared by every trajectory writer (Table::
+/// write_json, the bench --json outputs, the DSE driver, the farm's shard
+/// pipe): a JSON array with one string-keyed object per row, values exactly
+/// as rendered in the table.
+inline std::string render_json_rows(const std::vector<std::string>& header,
+                                    const std::vector<std::vector<std::string>>& rows) {
+  std::string text = "[\n";
   for (size_t r = 0; r < rows.size(); ++r) {
-    std::fprintf(f, "  {");
+    text += "  {";
     for (size_t c = 0; c < rows[r].size() && c < header.size(); ++c) {
-      std::fprintf(f, "%s\"%s\": \"%s\"", c == 0 ? "" : ", ",
-                   detail::json_escape(header[c]).c_str(),
-                   detail::json_escape(rows[r][c]).c_str());
+      if (c != 0) text += ", ";
+      text += '"' + detail::json_escape(header[c]) + "\": \"" +
+              detail::json_escape(rows[r][c]) + '"';
     }
-    std::fprintf(f, "}%s\n", r + 1 < rows.size() ? "," : "");
+    text += r + 1 < rows.size() ? "},\n" : "}\n";
   }
-  std::fprintf(f, "]\n");
+  text += "]\n";
+  return text;
 }
 
+inline void write_json_rows(std::FILE* f, const std::vector<std::string>& header,
+                            const std::vector<std::vector<std::string>>& rows) {
+  const std::string text = render_json_rows(header, rows);
+  std::fwrite(text.data(), 1, text.size(), f);
+}
+
+/// Returns false (with a warning on stderr) when the file cannot be opened.
 inline bool write_json_rows(const std::string& path,
                             const std::vector<std::string>& header,
                             const std::vector<std::vector<std::string>>& rows) {

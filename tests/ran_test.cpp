@@ -188,26 +188,77 @@ TEST(Scheduler, MatchesSingleClusterCosimReference) {
   EXPECT_EQ(result.errors, ref_errors);
 }
 
-TEST(Scheduler, DeterministicAcrossHostThreadCounts) {
-  const TrafficConfig tcfg = one_group_traffic();
-  TrafficGenerator gen(tcfg);
-  const SlotWorkload slot = gen.slot(1);
-
-  SlotScheduler serial(small_pool(3, /*host_threads=*/1), tcfg.groups);
-  SlotScheduler parallel(small_pool(3, /*host_threads=*/4), tcfg.groups);
-  const SlotResult a = serial.run_slot(slot);
-  const SlotResult b = parallel.run_slot(slot);
-
-  EXPECT_EQ(a.detected_bits, b.detected_bits);
+void expect_same_slot_result(const SlotResult& a, const SlotResult& b) {
+  EXPECT_EQ(a.tti, b.tti);
+  EXPECT_EQ(a.problems, b.problems);
+  EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.detected_bits, b.detected_bits);
+  EXPECT_EQ(a.allocation_errors, b.allocation_errors);
   EXPECT_EQ(a.cluster_busy_cycles, b.cluster_busy_cycles);
   EXPECT_EQ(a.cluster_batches, b.cluster_batches);
+  EXPECT_EQ(a.cluster_reloads, b.cluster_reloads);
+  EXPECT_EQ(a.cluster_reload_cycles, b.cluster_reload_cycles);
+  EXPECT_EQ(a.total_reloads, b.total_reloads);
+  EXPECT_EQ(a.total_reload_cycles, b.total_reload_cycles);
+  EXPECT_EQ(a.total_instructions, b.total_instructions);
   EXPECT_EQ(a.symbol_cycles, b.symbol_cycles);
   EXPECT_EQ(a.slot_cycles, b.slot_cycles);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.dead_clusters, b.dead_clusters);
+#define TSIM_EXPECT_SAME(f) EXPECT_EQ(a.f, b.f) << #f;
+  TSIM_SLOT_FAULT_COUNTERS(TSIM_EXPECT_SAME)
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].cluster, b.trace[i].cluster);
-    EXPECT_EQ(a.trace[i].cycles, b.trace[i].cycles);
+    SCOPED_TRACE("batch " + std::to_string(i));
+    const BatchTrace& x = a.trace[i];
+    const BatchTrace& y = b.trace[i];
+    EXPECT_EQ(x.cluster, y.cluster);
+    EXPECT_EQ(x.allocation, y.allocation);
+    EXPECT_EQ(x.offset, y.offset);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.geometry, y.geometry);
+    EXPECT_EQ(x.reloads, y.reloads);
+    EXPECT_EQ(x.reload_cycles, y.reload_cycles);
+    EXPECT_EQ(x.cycles, y.cycles);
+    EXPECT_EQ(x.instructions, y.instructions);
+    EXPECT_EQ(x.failed, y.failed);
+#define TSIM_EXPECT_SAME_BATCH(f) EXPECT_EQ(x.f, y.f) << #f;
+    TSIM_BATCH_FAULT_COUNTERS(TSIM_EXPECT_SAME_BATCH)
+#undef TSIM_EXPECT_SAME_BATCH
+  }
+#undef TSIM_EXPECT_SAME
+}
+
+TEST(Scheduler, DeterministicAcrossHostThreadCounts) {
+  // Three clusters: at 2 host threads one worker claims two clusters, at 3
+  // and 4 every cluster gets its own worker. Six single-problem cores leave
+  // partial batches that fast-forward shrinks, so the per-cluster
+  // fast-forward counters are updated from several threads (the TSan job
+  // runs this test as the scheduler's race check).
+  ClusterPoolConfig pool = small_pool(3, /*host_threads=*/1);
+  pool.problems_per_core = 1;
+  pool.batch_cores = 6;
+  pool.fast_forward = true;
+  for (const TrafficConfig& tcfg : {one_group_traffic(), mixed_geometry_traffic()}) {
+    SCOPED_TRACE(tcfg.groups.size() == 1 ? "one group" : "mixed geometry");
+    const SlotWorkload slot = TrafficGenerator(tcfg).slot(1);
+    pool.host_threads = 1;
+    SlotScheduler serial(pool, tcfg.groups);
+    const SlotResult a = serial.run_slot(slot);
+    const SlotScheduler::FastForwardStats ff = serial.fast_forward_stats();
+    EXPECT_GT(ff.shrunk_batches, 0u);
+    for (const u32 threads : {2u, 3u, 4u}) {
+      SCOPED_TRACE("host_threads " + std::to_string(threads));
+      pool.host_threads = threads;
+      SlotScheduler parallel(pool, tcfg.groups);
+      expect_same_slot_result(a, parallel.run_slot(slot));
+      const SlotScheduler::FastForwardStats pf = parallel.fast_forward_stats();
+      EXPECT_EQ(ff.full_batches, pf.full_batches);
+      EXPECT_EQ(ff.shrunk_batches, pf.shrunk_batches);
+      EXPECT_EQ(ff.cores_full, pf.cores_full);
+      EXPECT_EQ(ff.cores_run, pf.cores_run);
+    }
   }
 }
 
@@ -386,36 +437,6 @@ TEST(Scheduler, PoliciesAreBitIdenticalAndLocalityCutsReloads) {
   EXPECT_GT(a.total_reloads, 0u);
   EXPECT_GE(a.total_reloads, 2 * b.total_reloads);
   EXPECT_LT(b.total_reload_cycles, a.total_reload_cycles);
-}
-
-TEST(Scheduler, LocalityIsDeterministicAcrossHostThreadCounts) {
-  const TrafficConfig tcfg = mixed_geometry_traffic();
-  TrafficGenerator gen(tcfg);
-  const SlotWorkload slot = gen.slot(1);
-
-  // small_pool defaults to the locality policy.
-  SlotScheduler serial(small_pool(3, /*host_threads=*/1), tcfg.groups);
-  SlotScheduler parallel(small_pool(3, /*host_threads=*/4), tcfg.groups);
-  const SlotResult a = serial.run_slot(slot);
-  const SlotResult b = parallel.run_slot(slot);
-
-  EXPECT_EQ(a.detected_bits, b.detected_bits);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.cluster_busy_cycles, b.cluster_busy_cycles);
-  EXPECT_EQ(a.cluster_batches, b.cluster_batches);
-  EXPECT_EQ(a.cluster_reloads, b.cluster_reloads);
-  EXPECT_EQ(a.cluster_reload_cycles, b.cluster_reload_cycles);
-  EXPECT_EQ(a.total_reloads, b.total_reloads);
-  EXPECT_EQ(a.total_reload_cycles, b.total_reload_cycles);
-  EXPECT_EQ(a.symbol_cycles, b.symbol_cycles);
-  EXPECT_EQ(a.slot_cycles, b.slot_cycles);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i].cluster, b.trace[i].cluster);
-    EXPECT_EQ(a.trace[i].cycles, b.trace[i].cycles);
-    EXPECT_EQ(a.trace[i].reloads, b.trace[i].reloads);
-    EXPECT_EQ(a.trace[i].reload_cycles, b.trace[i].reload_cycles);
-  }
 }
 
 TEST(Scheduler, ReloadAccountingIsConsistent) {
