@@ -28,8 +28,11 @@ void run(const BenchOptions& opt) {
   std::printf("Fig. 7 | MMSE cycle count: cycle-accurate (RTL) vs ISS estimate vs "
               "instruction count (cores capped at %u)\n\n", core_cap);
 
+  // The last three columns are the exact counts behind the rounded ones, so
+  // the --json table pins the timing models bit for bit.
   sim::Table table({"MIMO", "precision", "RTL kCycles", "rel RTL", "ISS kCycles",
-                    "rel ISS", "err ISS", "err instr-count"});
+                    "rel ISS", "err ISS", "err instr-count", "rtl_cycles",
+                    "iss_cycles", "instructions"});
   for (const u32 n : mimo_sizes()) {
     std::vector<Row> rows;
     for (const kern::Precision prec : kern::kTimedPrecisions) {
@@ -76,7 +79,10 @@ void run(const BenchOptions& opt) {
                      sim::strf("%.2fk", r.iss_cycles / 1e3),
                      sim::strf("%.2f", r.iss_cycles / base_iss),
                      sim::strf("%+.0f%%", err_iss * 100),
-                     sim::strf("%+.0f%%", err_ins * 100)});
+                     sim::strf("%+.0f%%", err_ins * 100),
+                     sim::strf("%llu", static_cast<unsigned long long>(r.rtl_cycles)),
+                     sim::strf("%llu", static_cast<unsigned long long>(r.iss_cycles)),
+                     sim::strf("%llu", static_cast<unsigned long long>(r.instructions))});
     }
   }
   table.print();

@@ -10,6 +10,26 @@
 // leading terms land exactly on a rounding tie, the tie may be broken as
 // ties-to-even instead of by the vanishing addend. This cannot affect the
 // paper's BER or timing experiments and is excluded from tests.
+//
+// Which conversion code runs:
+//   - to_double_int / from_double_int are the portable integer routines
+//     (bit fields in, RNE on the dropped significand bits out). They are the
+//     only path when the compiler does not target F16C (Debug builds,
+//     TSIM_MARCH_NATIVE=OFF, non-x86 hosts), and the reference every other
+//     path is tested against bit for bit.
+//   - binary16 with __F16C__ defined (optimized builds via -march=native):
+//     to_double is one vcvtph2ps, which is exact (every half is a float).
+//     from_double first rounds the double to binary32 *to odd* (truncate,
+//     then force the last bit to 1 if anything was dropped), then rounds that
+//     float to half with vcvtps2ph in RNE. Round-to-odd keeps "exact / below
+//     a tie / on a tie / above a tie" intact for any target with at least
+//     two fewer significand bits (binary32 has 24, binary16 11), so the two
+//     steps round exactly once: the result equals direct RNE of the double,
+//     overflow, subnormals and signed zeros included.
+//   - the 8-bit formats decode through a 2^kBits-entry table built at compile
+//     time from to_double_int.
+// NaNs never reach the host instructions: every path decodes a NaN to the
+// canonical double quiet NaN and encodes one to kQuietNanBits.
 #pragma once
 
 #include <array>
@@ -17,6 +37,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+
+#if defined(__F16C__)
+#include <immintrin.h>
+#endif
 
 #include "common/types.h"
 
@@ -39,7 +63,7 @@ inline constexpr std::array<double, kPow2Max - kPow2Min + 1> kPow2 = [] {
   }
   return t;
 }();
-inline double exact_scale(double mant, int e) {
+constexpr double exact_scale(double mant, int e) {
   return mant * kPow2[static_cast<size_t>(e - kPow2Min)];
 }
 }  // namespace detail
@@ -76,9 +100,51 @@ struct MiniFormat {
   /// Canonical quiet NaN: exponent all ones, mantissa MSB set.
   static constexpr u32 kQuietNanBits = (kExpMask << kMantBits) | (1u << (kMantBits - 1));
   static constexpr u32 kPosInfBits = kExpMask << kMantBits;
+  static constexpr bool kIsBinary16 = kExpBits == 5 && kMantBits == 10;
 
-  /// Decodes the low kBits of `enc` into an exact double.
+  /// Decodes the low kBits of `enc` into an exact double (NaN: the
+  /// canonical double quiet NaN).
   static double to_double(u32 enc) {
+    if constexpr (kBits <= 8) {
+      static constexpr auto kTable = [] {
+        std::array<double, size_t{1} << kBits> t{};
+        for (u32 e = 0; e < t.size(); ++e) t[e] = to_double_int(e);
+        return t;
+      }();
+      return kTable[enc & kValueMask];
+    } else {
+#if defined(__F16C__)
+      if constexpr (kIsBinary16) {
+        const double d = _cvtsh_ss(static_cast<unsigned short>(enc));
+        return (enc & 0x7FFFu) > kPosInfBits ? std::numeric_limits<double>::quiet_NaN()
+                                             : d;
+      }
+#endif
+      return to_double_int(enc);
+    }
+  }
+
+  /// Encodes `d` with round-to-nearest-even, overflow to infinity, NaN to
+  /// kQuietNanBits.
+  static u32 from_double(double d) {
+#if defined(__F16C__)
+    if constexpr (kIsBinary16) {
+      if (d != d) return kQuietNanBits;
+      // Round to binary32, then re-round to odd: step an inexact result back
+      // toward zero and set its last bit (see the header note).
+      const float f = static_cast<float>(d);
+      const double back = f;
+      u32 bits = std::bit_cast<u32>(f);
+      bits -= std::fabs(back) > std::fabs(d) ? 1u : 0u;
+      bits |= back != d ? 1u : 0u;
+      return _cvtss_sh(std::bit_cast<float>(bits), _MM_FROUND_TO_NEAREST_INT);
+    }
+#endif
+    return from_double_int(d);
+  }
+
+  /// Integer reference decoder: the low kBits of `enc` as an exact double.
+  static constexpr double to_double_int(u32 enc) {
     enc &= kValueMask;
     const bool sign = (enc & kSignBit) != 0;
     const u32 exp = (enc >> kMantBits) & kExpMask;
@@ -98,8 +164,9 @@ struct MiniFormat {
     return sign ? -mag : mag;
   }
 
-  /// Encodes `d` with round-to-nearest-even, overflow to infinity.
-  static u32 from_double(double d) {
+  /// Integer reference encoder: round-to-nearest-even, overflow to
+  /// infinity, NaN to kQuietNanBits.
+  static u32 from_double_int(double d) {
     const u64 dbits = std::bit_cast<u64>(d);
     const u32 sign = static_cast<u32>(dbits >> 63) << (kExpBits + kMantBits);
     const int dexp = static_cast<int>((dbits >> 52) & 0x7FF);

@@ -1,12 +1,21 @@
 // Bit-true mini-float format tests: encode/decode round trips, rounding,
-// special values, and arithmetic identities.
+// special values, and arithmetic identities; plus differential tests of the
+// conversions every build compiles (F16C in optimized x86 builds, the integer
+// routines elsewhere) against the integer reference routines, down to the
+// packed fp16/fp8 instructions built on them.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "rv/exec.h"
+#include "rv/fp_formats.h"
 #include "softfloat/minifloat.h"
 #include "softfloat/packed.h"
+#include "tera/memory.h"
 
 namespace tsim::sf {
 namespace {
@@ -177,6 +186,186 @@ TEST(F32Classify, Basics) {
   EXPECT_EQ(classify_f32(f32_to_bits(1.0f)), static_cast<u32>(FpClass::kPosNormal));
   EXPECT_EQ(classify_f32(f32_to_bits(-0.0f)), static_cast<u32>(FpClass::kNegZero));
   EXPECT_EQ(classify_f32(0x7FC00000u), static_cast<u32>(FpClass::kQuietNan));
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the compiled conversions against the integer reference.
+// ---------------------------------------------------------------------------
+
+u64 bits_of(double d) { return std::bit_cast<u64>(d); }
+
+TEST(F16Differential, DecodeMatchesReferenceOnAllEncodings) {
+  for (u32 enc = 0; enc < 0x10000; ++enc) {
+    ASSERT_EQ(bits_of(F16::to_double(enc)), bits_of(F16::to_double_int(enc)))
+        << "enc=0x" << std::hex << enc;
+    // Bits above the format are ignored.
+    ASSERT_EQ(bits_of(F16::to_double(enc | 0xA5A50000u)), bits_of(F16::to_double_int(enc)));
+  }
+  EXPECT_EQ(bits_of(F16::to_double(0xFE01)),
+            bits_of(std::numeric_limits<double>::quiet_NaN()));  // canonical NaN
+}
+
+// Encodes `d` both ways and expects identical bits.
+void expect_encode_matches(double d) {
+  ASSERT_EQ(F16::from_double(d), F16::from_double_int(d))
+      << "d=" << std::hexfloat << d << " bits=0x" << std::hex << bits_of(d);
+}
+
+// `d` and its neighbours one double ULP either side.
+void expect_encode_matches_around(double d) {
+  expect_encode_matches(d);
+  expect_encode_matches(std::nextafter(d, std::numeric_limits<double>::infinity()));
+  expect_encode_matches(std::nextafter(d, -std::numeric_limits<double>::infinity()));
+}
+
+TEST(F16Differential, EncodeMatchesReferenceOnEveryValueAndTie) {
+  for (u32 enc = 0; enc <= 0x7BFF; ++enc) {  // every finite non-negative half
+    const double lo = F16::to_double_int(enc);
+    // The next value up; past 65504 it is the overflow point 2^16.
+    const double hi = enc == 0x7BFF ? 65536.0 : F16::to_double_int(enc + 1);
+    const double tie = (lo + hi) / 2;  // exact: one more bit than binary16
+    for (const double sign : {1.0, -1.0}) {
+      expect_encode_matches_around(sign * lo);
+      expect_encode_matches_around(sign * tie);
+    }
+    if (HasFailure()) return;  // one report, not thousands
+  }
+}
+
+TEST(F16Differential, EncodeMatchesReferenceOnEdges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double flt_max = std::numeric_limits<float>::max();
+  const std::vector<double> edges = {
+      0.0, std::ldexp(1.0, -24), std::ldexp(1.0, -25), std::ldexp(3.0, -26),
+      std::ldexp(1.0, -14), std::ldexp(1023.0, -24), std::ldexp(2047.0, -25),
+      65504.0, 65519.0, 65520.0, 65536.0,
+      std::numeric_limits<float>::denorm_min(), std::numeric_limits<float>::min(),
+      flt_max, std::nextafter(flt_max, inf),
+      static_cast<double>(flt_max) + std::ldexp(1.0, 103),  // float overflow tie
+      std::numeric_limits<double>::denorm_min(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(), 1e-300, 1e300};
+  for (const double e : edges) {
+    expect_encode_matches_around(e);
+    expect_encode_matches_around(-e);
+  }
+  for (const double e : {inf, -inf, 0.0, -0.0}) expect_encode_matches(e);
+  for (const u64 nan : {0x7FF8000000000000ull, 0xFFF8000000000000ull,
+                        0x7FF0000000000001ull, 0xFFFFFFFFFFFFFFFFull}) {
+    EXPECT_EQ(F16::from_double(std::bit_cast<double>(nan)), F16::kQuietNanBits);
+    expect_encode_matches(std::bit_cast<double>(nan));
+  }
+  EXPECT_EQ(F16::from_double(-0.0), 0x8000u);
+  EXPECT_EQ(F16::from_double(65520.0), F16::kPosInfBits);
+  EXPECT_EQ(F16::from_double(-std::ldexp(1.0, -26)), 0x8000u);
+}
+
+TEST(F16Differential, EncodeMatchesReferenceOnRandomDoubles) {
+  Rng rng(2025);
+  constexpr int kDraws = 10'000'000;
+  for (int i = 0; i < kDraws; ++i) {
+    u64 bits = rng.next_u64();
+    switch (i % 3) {
+      case 0:  // any double: every exponent, subnormals, inf and NaN
+        break;
+      case 1:  // exponents around binary16's range, 2^-40 .. 2^20
+        bits = (bits & 0x800FFFFFFFFFFFFFull) |
+               (static_cast<u64>(1023 - 40 + (bits >> 52) % 61) << 52);
+        break;
+      default:  // the same range with the low 40 mantissa bits cleared, so
+                // ties and near-ties are frequent
+        bits = (bits & 0x800FFF0000000000ull) |
+               (static_cast<u64>(1023 - 40 + (bits >> 52) % 61) << 52);
+        break;
+    }
+    expect_encode_matches(std::bit_cast<double>(bits));
+    if (HasFailure()) return;
+  }
+}
+
+template <typename Fmt>
+class MiniFormatTableTest : public ::testing::Test {};
+TYPED_TEST_SUITE(MiniFormatTableTest, Formats);
+
+TYPED_TEST(MiniFormatTableTest, DecodeTableMatchesReference) {
+  using Fmt = TypeParam;
+  for (u32 enc = 0; enc < (1u << Fmt::kBits); ++enc) {
+    EXPECT_EQ(bits_of(Fmt::to_double(enc)), bits_of(Fmt::to_double_int(enc)))
+        << "enc=" << enc;
+    EXPECT_EQ(bits_of(Fmt::to_double(enc | 0xFFFFFF00u)), bits_of(Fmt::to_double_int(enc)));
+  }
+}
+
+// The packed instructions built on the conversions, against the same
+// formulas written with the integer reference routines.
+class PackedFpDifferential : public ::testing::Test {
+ protected:
+  PackedFpDifferential() : mem_(tera::TeraPoolConfig::tiny()) {}
+
+  u32 run(rv::Op op, u32 acc, u32 a, u32 b) {
+    hart_.x[7] = acc;
+    hart_.x[5] = a;
+    hart_.x[6] = b;
+    rv::execute(rv::Decoded{.op = op, .rd = 7, .rs1 = 5, .rs2 = 6}, hart_, mem_);
+    return hart_.x[7];
+  }
+
+  static double h(u32 reg, unsigned lane) { return F16::to_double_int(lane16(reg, lane)); }
+
+  static u32 ref_cdotp(u32 acc, u32 a, u32 b, bool conj_a) {
+    const double sim = conj_a ? -h(a, 1) : h(a, 1);
+    const float re = static_cast<float>(h(a, 0) * h(b, 0) - sim * h(b, 1));
+    const float im = static_cast<float>(h(a, 0) * h(b, 1) + sim * h(b, 0));
+    return pack16(static_cast<u16>(F16::from_double_int(re + h(acc, 0))),
+                  static_cast<u16>(F16::from_double_int(im + h(acc, 1))));
+  }
+
+  static u32 ref_dotpex_sh(u32 acc, u32 a, u32 b) {
+    const double sum = h(a, 0) * h(b, 0) + h(a, 1) * h(b, 1) +
+                       static_cast<double>(std::bit_cast<float>(acc));
+    return std::bit_cast<u32>(static_cast<float>(sum));
+  }
+
+  static u32 ref_dotpex_hb(u32 acc, u32 a, u32 b) {
+    double sum = h(acc, 0);
+    for (unsigned i = 0; i < 4; ++i)
+      sum += rv::Fp8::to_double_int(lane8(a, i)) * rv::Fp8::to_double_int(lane8(b, i));
+    return static_cast<u32>(sign_extend(F16::from_double_int(sum), 16));
+  }
+
+  void check(u32 acc, u32 a, u32 b) {
+    EXPECT_EQ(run(rv::Op::kVfcdotpH, acc, a, b), ref_cdotp(acc, a, b, false));
+    EXPECT_EQ(run(rv::Op::kVfccdotpH, acc, a, b), ref_cdotp(acc, a, b, true));
+    EXPECT_EQ(run(rv::Op::kVfdotpexSH, acc, a, b), ref_dotpex_sh(acc, a, b));
+    EXPECT_EQ(run(rv::Op::kVfdotpexHB, acc, a, b), ref_dotpex_hb(acc, a, b));
+  }
+
+  rv::HartState hart_;
+  tera::ClusterMemory mem_;
+};
+
+TEST_F(PackedFpDifferential, SpecialOperands) {
+  // Zeros, subnormals, max normals, infinities and NaNs of both formats in
+  // every lane position.
+  const std::vector<u16> halves = {0x0000, 0x8000, 0x0001, 0x83FF, 0x0400, 0x3C00,
+                                   0xBC00, 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00,
+                                   0xFD01, 0x3555, 0x5A00};
+  std::vector<u32> regs;
+  for (const u16 lo : halves)
+    for (const u16 hi : halves) regs.push_back(pack16(lo, hi));
+  for (const u32 a : regs)
+    for (const u32 b : {regs[0], regs[17], regs[55], regs[101], regs[160], regs[224]})
+      for (const u32 acc : {regs[0], regs[33], regs[128], regs[199]}) check(acc, a, b);
+}
+
+TEST_F(PackedFpDifferential, RandomOperands) {
+  Rng rng(99);
+  for (int i = 0; i < 20000; ++i) {
+    const u64 r = rng.next_u64();
+    const u32 acc = static_cast<u32>(rng.next_u64());
+    // Half the draws keep exponents small so sums stay finite and round.
+    const u32 mask = (i & 1) ? 0xBFFFBFFFu : 0xFFFFFFFFu;
+    check(acc & mask, static_cast<u32>(r) & mask, static_cast<u32>(r >> 32) & mask);
+  }
 }
 
 }  // namespace
