@@ -166,11 +166,12 @@ inline double cluster_utilization(const SlotResult& result, u32 c) {
          static_cast<double>(result.slot_cycles);
 }
 
-/// One row per TTI: latency vs deadline, throughput, BER, reload overhead.
+/// One row per TTI: latency vs deadline, throughput, BER (with the exact bit
+/// error count beside it), reload overhead.
 inline sim::Table slot_report_header() {
-  return sim::Table({"tti", "problems", "bits", "ber", "latency_us", "deadline_us",
-                     "margin_%", "met", "offered_mbps", "processed_mbps",
-                     "reloads", "reload_%"});
+  return sim::Table({"tti", "problems", "bits", "ber", "errors", "latency_us",
+                     "deadline_us", "margin_%", "met", "offered_mbps",
+                     "processed_mbps", "reloads", "reload_%"});
 }
 
 inline void add_slot_row(sim::Table& table, const SlotResult& result,
@@ -188,6 +189,7 @@ inline void add_slot_row(sim::Table& table, const SlotResult& result,
       sim::strf("%llu", static_cast<unsigned long long>(result.problems)),
       sim::strf("%llu", static_cast<unsigned long long>(result.bits)),
       sim::strf("%.3g", result.ber()),
+      sim::strf("%llu", static_cast<unsigned long long>(result.errors)),
       sim::strf("%.1f", timing.latency_seconds() * 1e6),
       sim::strf("%.1f", timing.tti_seconds * 1e6),
       sim::strf("%+.1f", timing.margin_fraction() * 100.0),

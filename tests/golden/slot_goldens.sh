@@ -7,9 +7,10 @@
 # `ran_slot_sim --ttis 2 --json` writes one row per TTI of the paper carrier
 # (1638 subcarriers x 14 symbols, 4x4 64-QAM eMBB and 2x4 QPSK control UEs)
 # detected by the 16bCDotp fp16 kernel on two tiny clusters: problems, bits,
-# BER, simulated latency, throughput and reloads. Every column is a
-# deterministic function of the run, and none may depend on the host pool,
-# so the check runs at --threads 1 and at --threads 3 before the cmp.
+# BER and the exact bit-error count, simulated latency, throughput and
+# reloads. Every column is a deterministic function of the run, and none may
+# depend on the host pool, so the check runs at --threads 1 and at
+# --threads 3 before the cmp.
 set -eu
 
 update=0

@@ -590,6 +590,7 @@ TEST(Deadline, SymbolSerializedReportsRenderHandBuiltCycles) {
   };
   EXPECT_EQ(cell("tti"), "7");
   EXPECT_EQ(cell("ber"), "0.0625");
+  EXPECT_EQ(cell("errors"), "3");
   EXPECT_EQ(cell("met"), "NO");  // 600 us > 500 us deadline
   EXPECT_EQ(cell("reloads"), "2");
   // Reload share of total busy time: 60k / 750k = 8%.
@@ -621,6 +622,9 @@ TEST(Deadline, UtilizationAndReportsAreWellFormed) {
   const SlotTiming timing = slot_timing(result, tcfg.carrier, 1e9);
   sim::Table report = slot_report_header();
   add_slot_row(report, result, timing);
+  ASSERT_EQ(report.rows().size(), 1u);
+  ASSERT_EQ(report.header()[4], "errors");
+  EXPECT_EQ(report.rows()[0][4], std::to_string(result.errors));
   const sim::Table clusters = cluster_report(result);
   const sim::Table symbols = symbol_report(result, timing);
   (void)clusters;
