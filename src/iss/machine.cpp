@@ -280,172 +280,6 @@ void Machine::apply_hart_fault(HartFault& f) {
   }
 }
 
-namespace {
-constexpr u32 kMachineTag = 0x31535349;  // "ISS1"
-}
-
-void Machine::save_state(sim::SnapshotWriter& w) const {
-  check(!running_, "Machine::save_state: machine is mid-run");
-  check(wake_events_.empty(),
-        "Machine::save_state: pending wake events are not serializable");
-  w.tag(kMachineTag);
-  const u32 n = soa_.size();
-  w.write_u32(n);
-
-  // Resident-program table: (key, base, entry, image). The translation
-  // cache is NOT serialized - it is a pure function of (base, image) and is
-  // rebuilt (and fingerprint-checked) on restore.
-  w.write_u64(resident_.size());
-  for (const auto& r : resident_) {
-    w.write_u64(r->key);
-    w.write_u32(r->base);
-    w.write_u32(r->entry_pc);
-    w.write_vec_u32(r->image);
-  }
-  w.write_u32(active_);
-  w.write_u32(entry_pc_);
-  w.write_u64(program_switches_);
-
-  mem_->save_state(w);
-
-  // HartArrays columns, serialized logically (n lanes per column) so the
-  // payload is independent of the padded column stride.
-  w.write_vec_u32(soa_.pc);
-  w.write_vec_u64(soa_.cycle);
-  w.write_vec_u64(soa_.instret);
-  w.write_vec_u64(soa_.raw_stall);
-  w.write_vec_u64(soa_.wfi_stall);
-  w.write_vec_u64(soa_.wake_cycle);
-  for (u32 reg = 0; reg < 32; ++reg)
-    w.write_bytes(soa_.ready_col(reg), static_cast<size_t>(n) * sizeof(u64));
-  for (u32 c = 0; c < kMixCount; ++c)
-    w.write_bytes(soa_.mix_col(c), static_cast<size_t>(n) * sizeof(u64));
-  for (const HartArrays::Arch& a : soa_.arch) {
-    w.write_bytes(a.x.data(), a.x.size() * sizeof(u32));
-    w.write_bool(a.halted);
-    w.write_bool(a.in_wfi);
-    w.write_bool(a.trapped);
-    w.write_bool(a.has_reservation);
-    w.write_u32(a.reservation_addr);
-  }
-  for (const u8 s : sleep_) w.write_u8(s);
-
-  w.write_bool(stop_);
-  w.write_bool(exited_);
-  w.write_u32(exit_code_);
-
-  // Fault schedule, including armed-but-unfired entries: a restored run
-  // fires them at the exact same instruction boundaries.
-  w.write_bool(faults_armed_);
-  w.write_u64(hart_faults_.size());
-  for (const HartFault& f : hart_faults_) {
-    w.write_u32(f.hart);
-    w.write_u64(f.at_instret);
-    w.write_bool(f.hang);
-    w.write_bool(f.applied);
-  }
-  w.write_vec_u8(hart_hung_);
-  w.write_u32(faults_applied_);
-}
-
-void Machine::restore_state(sim::SnapshotReader& r) {
-  check(!running_, "Machine::restore_state: machine is mid-run");
-  r.expect_tag(kMachineTag, "Machine");
-  const u32 n = soa_.size();
-  if (r.read_u32() != n)
-    r.fail("machine snapshot hart count does not match this configuration");
-
-  // Rebuild the resident table in snapshot order (handles are positional).
-  const u64 nres = r.read_u64();
-  resident_.clear();
-  for (u64 i = 0; i < nres; ++i) {
-    const u64 key = r.read_u64();
-    const u32 base = r.read_u32();
-    const u32 entry = r.read_u32();
-    rvasm::Program prog;
-    prog.base = base;
-    prog.words = r.read_vec_u32();
-    prog.symbols["_start"] = entry;
-    if (program_fingerprint(prog) != key)
-      r.fail("resident program fingerprint mismatch (corrupt image?)");
-    auto res = std::make_unique<ResidentProgram>();
-    res->key = key;
-    res->base = base;
-    res->entry_pc = entry;
-    res->tcache = TranslationCache(prog);
-    res->image = std::move(prog.words);
-    resident_.push_back(std::move(res));
-  }
-  const ProgramHandle active = r.read_u32();
-  if (active != kNoProgram && active >= resident_.size())
-    r.fail("active program handle out of range");
-  active_ = active;
-  tcache_ = active == kNoProgram ? &empty_translation()
-                                 : &resident_[active]->tcache;
-  entry_pc_ = r.read_u32();
-  program_switches_ = r.read_u64();
-
-  // Memory contents as captured (including the active image - select is
-  // not re-run, so no spurious program switch is counted).
-  mem_->restore_state(r);
-
-  auto take_u32_col = [&r, n](std::vector<u32>& col) {
-    std::vector<u32> v = r.read_vec_u32();
-    if (v.size() != n) r.fail("hart column size mismatch");
-    col = std::move(v);
-  };
-  auto take_u64_col = [&r, n](std::vector<u64>& col) {
-    std::vector<u64> v = r.read_vec_u64();
-    if (v.size() != n) r.fail("hart column size mismatch");
-    col = std::move(v);
-  };
-  take_u32_col(soa_.pc);
-  take_u64_col(soa_.cycle);
-  take_u64_col(soa_.instret);
-  take_u64_col(soa_.raw_stall);
-  take_u64_col(soa_.wfi_stall);
-  take_u64_col(soa_.wake_cycle);
-  for (u32 reg = 0; reg < 32; ++reg)
-    r.read_bytes(soa_.ready_col(reg), static_cast<size_t>(n) * sizeof(u64));
-  for (u32 c = 0; c < kMixCount; ++c)
-    r.read_bytes(soa_.mix_col(c), static_cast<size_t>(n) * sizeof(u64));
-  for (HartArrays::Arch& a : soa_.arch) {
-    r.read_bytes(a.x.data(), a.x.size() * sizeof(u32));
-    a.halted = r.read_bool();
-    a.in_wfi = r.read_bool();
-    a.trapped = r.read_bool();
-    a.has_reservation = r.read_bool();
-    a.reservation_addr = r.read_u32();
-  }
-  for (u32 i = 0; i < n; ++i) {
-    const u8 s = r.read_u8();
-    if (s > static_cast<u8>(SleepState::kWakePending))
-      r.fail("invalid hart sleep state");
-    sleep_[i] = s;
-  }
-
-  stop_ = r.read_bool();
-  exited_ = r.read_bool();
-  exit_code_ = r.read_u32();
-
-  faults_armed_ = r.read_bool();
-  const u64 nfaults = r.read_u64();
-  hart_faults_.clear();
-  for (u64 i = 0; i < nfaults; ++i) {
-    HartFault f;
-    f.hart = r.read_u32();
-    f.at_instret = r.read_u64();
-    f.hang = r.read_bool();
-    f.applied = r.read_bool();
-    if (f.hart >= n) r.fail("hart fault targets an unknown hart");
-    hart_faults_.push_back(f);
-  }
-  hart_hung_ = r.read_vec_u8();
-  if (!hart_hung_.empty() && hart_hung_.size() != n)
-    r.fail("hart hang mask size mismatch");
-  faults_applied_ = r.read_u32();
-}
-
 void Machine::on_exit(u32 code) {
   exit_code_ = code;
   exited_ = true;

@@ -129,7 +129,6 @@
 #include "iss/hart.h"
 #include "iss/timing.h"
 #include "iss/translation.h"
-#include "sim/snapshot.h"
 #include "tera/memory.h"
 
 namespace tsim::iss {
@@ -264,8 +263,7 @@ class Machine {
   /// the timer/DMA-completion quiescence skip for long idle windows. Cycle
   /// accounting is identical to a cycle-by-cycle wait for the same wake.
   /// Events that never find a sleeping hart are dropped at run end.
-  /// reset_harts() clears pending events, and save_state refuses to capture
-  /// with events pending (fire or drop them first).
+  /// reset_harts() clears pending events.
   void schedule_wake_at(u32 hart, u64 at_cycle);
   /// Pending (unfired) wake events.
   size_t pending_wake_events() const { return wake_events_.size(); }
@@ -279,29 +277,6 @@ class Machine {
   /// translation.h).
   using TraceFn = std::function<void(u32 hart, u32 pc, const rv::Decoded&)>;
   void set_trace(TraceFn fn) { trace_ = std::move(fn); }
-
-  // ---- checkpoint/restore (sim/snapshot.h) ----
-  /// Serializes the machine's complete simulation state: the resident-
-  /// program table (base, entry pc and image words - retranslated and
-  /// re-bound by program_fingerprint on restore), the active-program
-  /// selection, full memory contents, every HartArrays column, per-hart
-  /// sleep states, the stop/exit flags, and the hart-fault schedule
-  /// including armed-but-unfired entries. Callable only between runs -
-  /// run() normalizes every hart to a serial instruction boundary before
-  /// returning, so there is no in-flight batch or run-list state to capture
-  /// (both are rebuilt from hart state on the next run).
-  /// Host-only counters (BatchStats) are deliberately excluded: they do not
-  /// influence simulation results.
-  void save_state(sim::SnapshotWriter& w) const;
-  /// Restores a save_state capture into a machine constructed with the same
-  /// configuration (hart count and memory geometry are checked). The
-  /// resident table is rebuilt deterministically from the serialized
-  /// (base, entry, image) triples - translation is a pure function of those
-  /// - and each rebuilt program's fingerprint must match the recorded key,
-  /// so a corrupt image can never be silently re-bound. Continuing the
-  /// restored machine is bit-identical to continuing the original
-  /// (tests/snapshot_test.cpp). Throws sim::SnapshotError on any mismatch.
-  void restore_state(sim::SnapshotReader& r);
 
   /// Aggregate retired instructions over all harts.
   u64 total_instructions() const;

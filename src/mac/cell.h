@@ -203,8 +203,8 @@ class Cell {
   /// UE populations (burst state + HARQ processes/soft-buffer bookkeeping,
   /// in-flight attempts and their feedback timers included), fault-delayed
   /// indications, the per-slot result history the report percentiles read,
-  /// the cumulative counters, and the scheduler (cluster machines +
-  /// program residency). Traffic/arrival/payload RNG streams are keyed by
+  /// the cumulative counters, and the scheduler (per cluster: program
+  /// residency and L1). Traffic/arrival/payload RNG streams are keyed by
   /// identity (seed, tti, ue, ...) and carry no position - restore
   /// re-derives them exactly, so nothing RNG-shaped is serialized.
   void save_state(sim::SnapshotWriter& w) const;

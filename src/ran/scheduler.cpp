@@ -86,7 +86,6 @@ SlotScheduler::SlotScheduler(const ClusterPoolConfig& cfg, std::vector<UeGroup> 
   for (auto& c : clusters_) {
     c.machine = std::make_unique<iss::Machine>(cfg_.cluster, iss::TimingConfig{},
                                                common_cores);
-    c.geometry_handles.assign(geometries_.size(), -1);
   }
 
   // Calibration is only worth its warm-up runs when the locality policy has
@@ -176,8 +175,7 @@ void SlotScheduler::adopt_warm_calibration(const WarmState& warm) {
   Cluster& c0 = clusters_[0];
   for (u32 g = 0; g < geometries_.size(); ++g) {
     geometries_[g].batch_cycles = warm.batch_cycles[g];
-    c0.geometry_handles[g] =
-        static_cast<i64>(c0.machine->load_program(geometries_[g].program));
+    activate_program(c0, g, geometries_[g].layout.num_cores);
     c0.loaded_geometry = static_cast<i64>(g);
   }
 }
@@ -220,7 +218,7 @@ u64 SlotScheduler::batch_cycles_for_group(u32 g) const {
 }
 
 namespace {
-constexpr u32 kSchedulerTag = 0x31484353;  // "SCH1"
+constexpr u32 kSchedulerTag = 0x32484353;  // "SCH2"
 }
 
 void SlotScheduler::save_state(sim::SnapshotWriter& w) const {
@@ -229,15 +227,13 @@ void SlotScheduler::save_state(sim::SnapshotWriter& w) const {
   w.write_u64(clusters_.size());
   for (const Cluster& c : clusters_) {
     w.write_i64(c.loaded_geometry);
-    w.write_u64(c.geometry_handles.size());
-    for (const i64 h : c.geometry_handles) w.write_i64(h);
-    w.write_u64(c.variants.size());
-    for (const Cluster::Variant& v : c.variants) {
-      w.write_u32(v.geometry);
-      w.write_u32(v.cores);
-      w.write_i64(v.handle);
+    w.write_u64(c.resident.size());
+    for (const Resident& p : c.resident) {
+      w.write_u32(p.geometry);
+      w.write_u32(p.cores);
     }
-    c.machine->save_state(w);
+    w.write_u32(c.machine->active_program());
+    c.machine->memory().save_state(w);
   }
 }
 
@@ -251,33 +247,28 @@ void SlotScheduler::restore_state(sim::SnapshotReader& r) {
     const i64 loaded = r.read_i64();
     if (loaded < -1 || loaded >= static_cast<i64>(geometries_.size()))
       r.fail("loaded_geometry out of range");
-    const u64 nh = r.read_u64();
-    if (nh != geometries_.size()) r.fail("geometry handle table size mismatch");
-    std::vector<i64> handles(nh);
-    for (i64& h : handles) h = r.read_i64();
-    const u64 nv = r.read_u64();
-    std::vector<Cluster::Variant> variants(nv);
-    for (Cluster::Variant& v : variants) {
-      v.geometry = r.read_u32();
-      v.cores = r.read_u32();
-      v.handle = r.read_i64();
-      if (v.geometry >= geometries_.size())
-        r.fail("variant geometry out of range");
+    // Re-load the resident list in handle order. Programs that construction
+    // already made resident (calibration on cluster 0) are reused, not
+    // retranslated; every entry must come back at its recorded handle.
+    const u64 n = r.read_u64();
+    for (u64 i = 0; i < n; ++i) {
+      const u32 g = r.read_u32();
+      const u32 cores = r.read_u32();
+      if (g >= geometries_.size()) r.fail("resident program geometry out of range");
+      const u32 full = geometries_[g].layout.num_cores;
+      if (cores != full && (cores < kMinFastForwardCores || cores > full))
+        r.fail("resident program core count out of range");
+      if (activate_program(c, g, cores) != i)
+        r.fail("resident program list conflicts with this scheduler's handles");
     }
-    c.machine->restore_state(r);
-    for (const i64 h : handles) {
-      if (h < -1 ||
-          h >= static_cast<i64>(c.machine->num_resident_programs()))
-        r.fail("geometry handle out of range after machine restore");
-    }
-    for (const Cluster::Variant& v : variants) {
-      if (v.handle < -1 ||
-          v.handle >= static_cast<i64>(c.machine->num_resident_programs()))
-        r.fail("variant handle out of range after machine restore");
-    }
+    if (c.resident.size() != n)
+      r.fail("resident program list conflicts with this scheduler's handles");
+    const u32 active = r.read_u32();
+    if (n == 0 ? active != iss::Machine::kNoProgram : active >= n)
+      r.fail("active program handle out of range");
+    if (n != 0) c.machine->select_program(active);
+    c.machine->memory().restore_state(r);
     c.loaded_geometry = loaded;
-    c.geometry_handles = std::move(handles);
-    c.variants = std::move(variants);
   }
 }
 
@@ -293,7 +284,7 @@ void SlotScheduler::calibrate_geometry_costs() {
   for (u32 g = 0; g < geometries_.size(); ++g) {
     GeometryContext& geo = geometries_[g];
     const kern::MmseLayout& lay = geo.layout;
-    c0.geometry_handles[g] = static_cast<i64>(machine.load_program(geo.program));
+    activate_program(c0, g, lay.num_cores);
     c0.loaded_geometry = static_cast<i64>(g);
 
     Rng rng(0xCA11B ^ static_cast<u64>(g));
@@ -480,12 +471,22 @@ std::vector<std::vector<u32>> SlotScheduler::assign_batches(
   return queues;
 }
 
-i64& SlotScheduler::variant_handle(Cluster& cluster, u32 g, u32 cores) const {
-  for (Cluster::Variant& v : cluster.variants) {
-    if (v.geometry == g && v.cores == cores) return v.handle;
+u32 SlotScheduler::activate_program(Cluster& cluster, u32 g, u32 cores) const {
+  iss::Machine& machine = *cluster.machine;
+  const Resident want{g, cores};
+  const auto it = std::find(cluster.resident.begin(), cluster.resident.end(), want);
+  if (it != cluster.resident.end()) {
+    const u32 handle = static_cast<u32>(it - cluster.resident.begin());
+    if (machine.active_program() != handle) machine.select_program(handle);
+    return handle;
   }
-  cluster.variants.push_back(Cluster::Variant{g, cores, -1});
-  return cluster.variants.back().handle;
+  const GeometryContext& geo = geometries_[g];
+  const u32 handle = machine.load_program(
+      cores == geo.layout.num_cores ? geo.program : build_variant_program(g, cores));
+  check(handle == cluster.resident.size(),
+        "SlotScheduler: machine resident table out of step with the cluster's");
+  cluster.resident.push_back(want);
+  return handle;
 }
 
 rvasm::Program SlotScheduler::build_variant_program(u32 g, u32 cores) const {
@@ -542,15 +543,7 @@ void SlotScheduler::run_batch(Cluster& cluster, const BatchTask& task,
   // Activate the resident program for (geometry, run_cores): an image
   // restore - no retranslation; translation happens only on the first visit
   // of the pair to this cluster.
-  i64& handle = shrunk ? variant_handle(cluster, task.geometry, run_cores)
-                       : cluster.geometry_handles[task.geometry];
-  if (handle < 0) {
-    handle = static_cast<i64>(machine.load_program(
-        shrunk ? build_variant_program(task.geometry, run_cores) : geo.program));
-  } else if (machine.active_program() !=
-             static_cast<iss::Machine::ProgramHandle>(handle)) {
-    machine.select_program(static_cast<iss::Machine::ProgramHandle>(handle));
-  }
+  activate_program(cluster, task.geometry, run_cores);
 
   // Stage the batch; unused tail slots repeat real problems so every active
   // core computes well-defined data (results of padded slots are never

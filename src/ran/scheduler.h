@@ -165,6 +165,8 @@ struct BatchTrace {
   u64 instructions = 0;   // DUT instructions retired by the detection run
   TSIM_BATCH_FAULT_COUNTERS(TSIM_U32_COUNTER)
   bool failed = false;    // run did not complete; batch bits count as errors
+
+  bool operator==(const BatchTrace&) const = default;
 };
 
 /// Everything the scheduler measured and detected for one TTI.
@@ -209,6 +211,7 @@ struct SlotResult {
   double ber() const {
     return bits == 0 ? 0.0 : static_cast<double>(errors) / static_cast<double>(bits);
   }
+  bool operator==(const SlotResult&) const = default;
 };
 
 class SlotScheduler {
@@ -260,16 +263,23 @@ class SlotScheduler {
   static constexpr u64 kUncalibratedBatchCost = u64{1} << 20;
 
   // ---- checkpoint/restore (sim/snapshot.h) ----
-  /// Serializes the scheduler's cross-slot state: each cluster's machine
-  /// (full iss::Machine state, resident programs included) plus its
-  /// program-residency bookkeeping (loaded_geometry / geometry_handles),
-  /// which the locality policy's assignment and the reload accounting read.
-  /// Geometry contexts and calibration are NOT serialized - both are
-  /// deterministic functions of the construction-time config.
+  /// Serializes, per cluster, what a later slot reads at a slot boundary:
+  /// loaded_geometry (the locality policy's assignment and the reload
+  /// accounting read it), the resident programs as an ordered list of
+  /// (geometry, active cores) in handle order, the active handle, and the
+  /// L1 words. Nothing else is live there: run_batch restages its inputs
+  /// and resets every hart before each run, and reads its outputs back
+  /// before the slot ends. L1 stays whole because a batch that deadlocked
+  /// under a fault plan leaves the barrier counter set, and ECC-off upsets
+  /// persist in words no batch restages. Geometry contexts, calibration,
+  /// translations and program images are rebuilt from the construction-time
+  /// config instead.
   void save_state(sim::SnapshotWriter& w) const;
-  /// Restores into a scheduler constructed with the same config and groups
-  /// (cluster/geometry counts are checked). Throws sim::SnapshotError on a
-  /// mismatch or corrupt payload.
+  /// Restores into a scheduler constructed with the same config and groups:
+  /// re-loads each cluster's resident list (reusing what calibration already
+  /// translated), selects the active program, then restores L1. Throws
+  /// sim::SnapshotError on a count mismatch, a corrupt payload, or a
+  /// resident entry that would come back at a different handle.
   void restore_state(sim::SnapshotReader& r);
 
   /// Smallest core count a fast-forward shrunk variant runs: keeps every
@@ -315,22 +325,22 @@ class SlotScheduler {
     u64 batch_cycles = 0;   // calibrated cycles of one (padded) batch
     u64 reload_cycles = 0;  // modeled DMA cycles to load the image
   };
+  /// A program resident on a cluster's machine: geometry `geometry` built
+  /// for `cores` active cores (the layout's full count, or fewer for a
+  /// fast-forward shrunk variant).
+  struct Resident {
+    u32 geometry = 0;
+    u32 cores = 0;
+    bool operator==(const Resident&) const = default;
+  };
   struct Cluster {
     std::unique_ptr<iss::Machine> machine;
     i64 loaded_geometry = -1;  // index into geometries_, -1 = none
-    /// geometry index -> resident-program handle on this machine (-1 until
-    /// the geometry first runs here and gets translated).
-    std::vector<i64> geometry_handles;
-    /// Fast-forward shrunk-variant residency on this machine: one entry per
-    /// (geometry, active core count) pair that has run here. Variants are
-    /// host-side execution shortcuts - they never appear in the reload or
-    /// residency accounting above.
-    struct Variant {
-      u32 geometry = 0;
-      u32 cores = 0;
-      i64 handle = -1;
-    };
-    std::vector<Variant> variants;
+    /// The machine's resident programs in handle order (entry i is
+    /// iss::Machine handle i), one per (geometry, cores) pair that has run
+    /// here. Shrunk variants are host-side execution shortcuts - they never
+    /// appear in the reload accounting keyed on loaded_geometry.
+    std::vector<Resident> resident;
     /// Host-side fast-forward counters of the batches run here; touched only
     /// by the worker that claimed this cluster (fast_forward_stats sums).
     FastForwardStats ff;
@@ -343,11 +353,11 @@ class SlotScheduler {
   };
 
   u32 geometry_for(u32 ntx, u32 nrx);  // builds layout+program on first use
-  /// Resident-program handle slot for geometry `g`'s shrunk variant at
-  /// `cores` active cores on `cluster` (created on first use, handle -1).
-  /// Only the worker that claimed the cluster calls it, so no locking is
-  /// needed.
-  i64& variant_handle(Cluster& cluster, u32 g, u32 cores) const;
+  /// Makes geometry `g` at `cores` active cores the active program on
+  /// `cluster` and returns its handle: an image restore when it is already
+  /// resident, a load and translation on first use. Only the worker that
+  /// claimed the cluster calls it, so no locking is needed.
+  u32 activate_program(Cluster& cluster, u32 g, u32 cores) const;
   /// Builds the shrunk program variant of geometry `g` with `cores` active
   /// cores (all higher hartids park in crt0).
   rvasm::Program build_variant_program(u32 g, u32 cores) const;

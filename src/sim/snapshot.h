@@ -23,11 +23,14 @@
 // looks at - a visible `<path>` is always a complete, CRC-consistent file.
 //
 // The stateful layers each expose save_state(SnapshotWriter&) /
-// restore_state(SnapshotReader&) built on this format: tera::ClusterMemory,
-// iss::Machine, ran::SlotScheduler, mac::HarqEntity, mac::Cell, and the
-// farm's per-cell snapshot files (mac/farm.h). The repo-wide contract those
-// entry points implement: capture at a TTI boundary, restore into a freshly
-// constructed object of the same configuration in a fresh process, and the
+// restore_state(SnapshotReader&) built on this format: tera::ClusterMemory
+// (L1 words only), ran::SlotScheduler (per cluster: program residency and
+// L1), mac::HarqEntity, mac::Cell, and the farm's per-cell snapshot files
+// (mac/farm.h). The ISS machine has no entry point of its own: at a slot
+// boundary its harts hold nothing a later run reads, so the scheduler
+// rebuilds the machine instead. The repo-wide contract those entry points
+// implement: capture at a TTI boundary, restore into a freshly constructed
+// object of the same configuration in a fresh process, and the
 // continuation is bit-identical to an uninterrupted run.
 #pragma once
 
@@ -42,7 +45,7 @@
 namespace tsim::sim {
 
 inline constexpr u32 kSnapshotMagic = 0x504E5354;  // "TSNP"
-inline constexpr u32 kSnapshotVersion = 1;
+inline constexpr u32 kSnapshotVersion = 2;
 
 /// A snapshot that cannot be decoded: truncated, corrupted (CRC/tag/length
 /// mismatch), the wrong kind, or taken under an incompatible configuration.

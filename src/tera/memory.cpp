@@ -148,15 +148,14 @@ void ClusterMemory::reset_l1() {
 }
 
 namespace {
-constexpr u32 kMemoryTag = 0x314D454D;  // "MEM1"
-}
 
-namespace {
+constexpr u32 kMemoryTag = 0x324D454D;  // "MEM2"
 
-// Guest memories are serialized with a zero-run-length encoding: an idle L2
-// is almost entirely zero words, and snapshot cost is bound by bytes pushed
-// through write+fsync, so storing zero runs as counts instead of payload is
-// what keeps periodic checkpointing within the soak-overhead budget.
+// L1 is serialized with a zero-run-length encoding: a batch touches only
+// the problem slots and scratch areas of the cores it ran, the rest of L1
+// stays zero, and snapshot cost is bound by bytes pushed through
+// write+fsync, so storing zero runs as counts instead of payload keeps
+// periodic checkpointing within the soak-overhead budget.
 //
 // Format: u64 total word count, then records of
 //   u64 zero_run, u64 literal_run, literal_run raw u32 words
@@ -219,17 +218,11 @@ void read_mem_words(sim::SnapshotReader& r, std::vector<u32>& out,
 void ClusterMemory::save_state(sim::SnapshotWriter& w) const {
   w.tag(kMemoryTag);
   write_mem_words(w, l1_);
-  write_mem_words(w, l2_);
-  write_mem_words(w, mmio_);
-  w.write_string(console_);
 }
 
 void ClusterMemory::restore_state(sim::SnapshotReader& r) {
   r.expect_tag(kMemoryTag, "ClusterMemory");
   read_mem_words(r, l1_, l1_.size());
-  read_mem_words(r, l2_, l2_.size());
-  read_mem_words(r, mmio_, mmio_.size());
-  console_ = r.read_string();
 }
 
 }  // namespace tsim::tera

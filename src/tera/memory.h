@@ -75,12 +75,14 @@ class ClusterMemory final : public rv::MemIface {
   void reset_l1();
 
   // ---- checkpoint/restore (sim/snapshot.h) ----
-  /// Serializes the complete memory contents (L1 + L2 + MMIO backing words
-  /// and the console). Call between runs only - no hart may be executing.
+  /// Serializes the L1 words, zero-run compressed. L2 holds only program
+  /// images, which the owner rebuilds by re-loading its programs; the MMSE
+  /// kernels never load from L2 or MMIO, so those words and the console
+  /// feed no later run. Call between runs only - no hart may be executing.
   void save_state(sim::SnapshotWriter& w) const;
-  /// Restores contents captured by save_state into a memory of the same
-  /// configuration (identical region sizes); throws sim::SnapshotError on a
-  /// size mismatch or corrupt payload. MMIO handlers are untouched.
+  /// Restores L1 captured by save_state into a memory of the same
+  /// configuration (identical L1 size); throws sim::SnapshotError on a size
+  /// mismatch or corrupt payload. L2, MMIO and the console are untouched.
   void restore_state(sim::SnapshotReader& r);
 
   // ---- MMIO observers ----

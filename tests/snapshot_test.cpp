@@ -1,56 +1,37 @@
 // Checkpoint/restore contract tests (sim/snapshot.h and the save_state/
 // restore_state entry points layered on it): container integrity against
-// bit-flips and truncation, bit-exact machine round-trips at adversarial
-// boundaries (mid-superblock budget expiry, WFI-parked harts, armed-but-
-// unfired faults, every kernel precision), cell round-trips with HARQ
-// attempts in flight past the feedback timeout, the farm's snapshot resume
-// ladder, and checkpoint-resumed crash recovery.
+// bit-flips and truncation, refusal of version-1 files, scheduler round trips
+// at a slot boundary for every kernel precision with fast-forward variants
+// resident, refusal of a resident-program list that conflicts with a fresh
+// scheduler's handles, cell round-trips with HARQ attempts in flight past the
+// feedback timeout (ECC on and off), the farm's snapshot resume ladder, and
+// checkpoint-resumed crash recovery.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
-#include "iss/machine.h"
-#include "kernels/mmse_program.h"
 #include "mac/farm.h"
-#include "sim/cosim.h"
+#include "ran/scheduler.h"
 #include "sim/snapshot.h"
 
 namespace tsim {
 namespace {
 
-using kern::MmseLayout;
 using kern::Precision;
 
 // ---------------------------------------------------------------------------
 // Helpers.
 // ---------------------------------------------------------------------------
 
-MmseLayout tiny_layout(u32 n, Precision prec, u32 cores = 1) {
-  MmseLayout lay;
-  lay.ntx = n;
-  lay.nrx = n;
-  lay.prec = prec;
-  lay.num_cores = cores;
-  lay.cluster = tera::TeraPoolConfig::tiny();
-  lay.validate();
-  return lay;
-}
-
-sim::MimoProblem rayleigh_problem(u32 n, double snr_db, u64 seed) {
-  Rng rng(seed);
-  phy::Channel ch(phy::ChannelType::kRayleigh, n, n);
-  phy::QamModulator qam(16);
-  const auto batch = sim::generate_batch(ch, qam, n, 1, snr_db, rng);
-  return batch.problems[0];
-}
-
-std::string machine_payload(const iss::Machine& m) {
+std::string scheduler_payload(const ran::SlotScheduler& s) {
   sim::SnapshotWriter w;
-  m.save_state(w);
+  s.save_state(w);
   return w.payload();
 }
 
@@ -217,42 +198,64 @@ TEST(Snapshot, BitFlipsAreDetectedEverywhere) {
 }
 
 // ---------------------------------------------------------------------------
-// Machine round-trips at adversarial boundaries.
+// Scheduler round-trips at a slot boundary.
 // ---------------------------------------------------------------------------
 
-class MachinePrecisionRoundTrip : public ::testing::TestWithParam<Precision> {};
-
-TEST_P(MachinePrecisionRoundTrip, MidRunCutContinuesBitIdentically) {
-  // Cut the run mid-flight with an instruction budget (which can land inside
-  // a lockstep superblock sweep - run() normalizes every hart to a serial
-  // boundary before returning), capture, restore into a fresh machine, and
-  // finish both: every architectural bit and counter must agree.
-  const auto lay = tiny_layout(8, GetParam(), 4);
-  const auto program = kern::build_mmse_program(lay);
-
-  iss::Machine a(lay.cluster, iss::TimingConfig{}, 4);
-  a.load_program(program);
-  for (u32 c = 0; c < 4; ++c)
-    sim::stage_problem(a.memory(), lay, c, 0, rayleigh_problem(8, 12.0, 40 + c));
-  const auto cut = a.run(2000);  // mid-run: nobody has exited yet
-  ASSERT_FALSE(cut.exited);
-
-  iss::Machine b(lay.cluster, iss::TimingConfig{}, 4);
-  sim::SnapshotReader r(machine_payload(a));
-  b.restore_state(r);
-  EXPECT_NO_THROW(r.expect_end());
-  EXPECT_EQ(machine_payload(a), machine_payload(b));
-
-  const auto ra = a.run();
-  const auto rb = b.run();
-  EXPECT_TRUE(ra.exited);
-  EXPECT_TRUE(rb.exited);
-  EXPECT_EQ(ra.exit_code, rb.exit_code);
-  EXPECT_EQ(ra.instructions, rb.instructions);
-  EXPECT_EQ(machine_payload(a), machine_payload(b));
+/// Two geometries on the 16-subcarrier carrier, whose 12- and 4-problem
+/// allocations leave most 8-core batches partly filled.
+ran::TrafficConfig two_geometry_traffic() {
+  ran::TrafficConfig cfg;
+  cfg.carrier.bandwidth_hz = 0.5e6;  // 16 subcarriers
+  cfg.carrier.symbols_per_slot = 2;
+  cfg.groups = {
+      ran::UeGroup{"a", 4, 4, 16, 12.0, phy::ChannelType::kRayleigh, 3.0},
+      ran::UeGroup{"b", 2, 4, 4, 8.0, phy::ChannelType::kAwgn, 1.0},
+  };
+  cfg.seed = 0x5C4ED;
+  return cfg;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPrecisions, MachinePrecisionRoundTrip,
+/// Two clusters and two geometries: the locality policy calibrates, so a
+/// fresh scheduler's cluster 0 already holds both full programs.
+ran::ClusterPoolConfig two_cluster_pool(Precision prec) {
+  ran::ClusterPoolConfig cfg;
+  cfg.num_clusters = 2;
+  cfg.host_threads = 1;
+  cfg.cluster = tera::TeraPoolConfig::tiny();
+  cfg.prec = prec;
+  cfg.problems_per_core = 1;
+  cfg.batch_cores = 8;
+  cfg.fast_forward = true;
+  return cfg;
+}
+
+class SchedulerPrecisionRoundTrip : public ::testing::TestWithParam<Precision> {};
+
+TEST_P(SchedulerPrecisionRoundTrip, SlotBoundaryCutContinuesBitIdentically) {
+  // Run two slots, capture, restore into a fresh scheduler, and run two
+  // more slots on both: every SlotResult and the final payloads must agree.
+  const ran::TrafficConfig traffic = two_geometry_traffic();
+  const ran::ClusterPoolConfig pool = two_cluster_pool(GetParam());
+  ran::TrafficGenerator gen(traffic);
+  ran::SlotScheduler a(pool, traffic.groups);
+  for (u64 t = 0; t < 2; ++t) a.run_slot(gen.slot(t));
+  // Shrunk variants are resident beside calibration's full programs.
+  ASSERT_GT(a.fast_forward_stats().shrunk_batches, 0u);
+
+  ran::SlotScheduler b(pool, traffic.groups);
+  sim::SnapshotReader r(scheduler_payload(a));
+  b.restore_state(r);
+  EXPECT_NO_THROW(r.expect_end());
+  EXPECT_EQ(scheduler_payload(a), scheduler_payload(b));
+
+  for (u64 t = 2; t < 4; ++t) {
+    const ran::SlotWorkload slot = gen.slot(t);
+    EXPECT_TRUE(a.run_slot(slot) == b.run_slot(slot)) << "TTI " << t;
+  }
+  EXPECT_EQ(scheduler_payload(a), scheduler_payload(b));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPrecisions, SchedulerPrecisionRoundTrip,
                          ::testing::Values(Precision::k16Half,
                                            Precision::k16WDotp,
                                            Precision::k16CDotp,
@@ -262,108 +265,66 @@ INSTANTIATE_TEST_SUITE_P(AllPrecisions, MachinePrecisionRoundTrip,
                            return std::string(kern::name_of(info.param));
                          });
 
-TEST(Snapshot, MachineRoundTripWithWfiParkedHarts) {
-  // Run a multi-core barrier workload in small instruction slices until the
-  // capture catches harts parked in WFI at the barrier, then round-trip.
-  const auto lay = tiny_layout(4, Precision::k16CDotp, 4);
-  iss::Machine a(lay.cluster, iss::TimingConfig{}, 4);
-  a.load_program(kern::build_mmse_program(lay));
-  for (u32 c = 0; c < 4; ++c)
-    sim::stage_problem(a.memory(), lay, c, 0, rayleigh_problem(4, 10.0, 90 + c));
+TEST(Snapshot, SchedulerRestoreRefusesConflictingResidentList) {
+  // Calibration made geometries 0 and 1 resident on cluster 0 at handles 0
+  // and 1. A snapshot that lists them the other way round would re-bind
+  // each handle to the other program, so restore must refuse it.
+  const ran::TrafficConfig traffic = two_geometry_traffic();
+  const ran::ClusterPoolConfig pool = two_cluster_pool(Precision::k16CDotp);
+  const ran::SlotScheduler a(pool, traffic.groups);
+  const std::string payload = scheduler_payload(a);
 
-  bool saw_wfi_capture = false;
-  for (int slice = 0; slice < 400; ++slice) {
-    const auto res = a.run(50);
-    if (res.exited) break;
-    u32 parked = 0;
-    for (u32 h = 0; h < 4; ++h)
-      if (a.hart(h).state.in_wfi) ++parked;
-    if (parked == 0) continue;
-    saw_wfi_capture = true;
-    iss::Machine b(lay.cluster, iss::TimingConfig{}, 4);
-    sim::SnapshotReader r(machine_payload(a));
-    b.restore_state(r);
-    const auto ra = a.run();
-    const auto rb = b.run();
-    EXPECT_EQ(ra.exited, rb.exited);
-    EXPECT_EQ(ra.instructions, rb.instructions);
-    EXPECT_EQ(machine_payload(a), machine_payload(b));
-    break;
+  // Scheduler section: tag, geometry and cluster counts, then cluster 0's
+  // loaded_geometry and its resident list of (geometry, cores) entries.
+  sim::SnapshotReader in(payload);
+  sim::SnapshotWriter out;
+  out.write_u32(in.read_u32());
+  out.write_u64(in.read_u64());
+  out.write_u64(in.read_u64());
+  out.write_i64(in.read_i64());
+  const u64 n = in.read_u64();
+  ASSERT_EQ(n, 2u);
+  out.write_u64(n);
+  std::pair<u32, u32> list[2];
+  for (auto& [geometry, cores] : list) {
+    geometry = in.read_u32();
+    cores = in.read_u32();
   }
-  EXPECT_TRUE(saw_wfi_capture) << "never caught a WFI-parked hart";
-}
-
-TEST(Snapshot, MachineRoundTripWithArmedUnfiredFaults) {
-  // Arm faults that have NOT fired at capture time: the schedule must travel
-  // with the snapshot so both runs trap/hang identically after restore.
-  const auto lay = tiny_layout(4, Precision::k16WDotp, 2);
-  iss::Machine a(lay.cluster, iss::TimingConfig{}, 2);
-  a.load_program(kern::build_mmse_program(lay));
-  for (u32 c = 0; c < 2; ++c)
-    sim::stage_problem(a.memory(), lay, c, 0, rayleigh_problem(4, 11.0, 70 + c));
-  a.inject_hart_fault(1, 1500, /*hang=*/false);  // fires well past the cut
-  const auto cut = a.run(300);
-  ASSERT_FALSE(cut.exited);
-  ASSERT_EQ(a.hart_faults_applied(), 0u);
-  ASSERT_TRUE(a.hart_faults_armed());
-
-  iss::Machine b(lay.cluster, iss::TimingConfig{}, 2);
-  sim::SnapshotReader r(machine_payload(a));
-  b.restore_state(r);
-  EXPECT_TRUE(b.hart_faults_armed());
-
-  const auto ra = a.run();
-  const auto rb = b.run();
-  EXPECT_EQ(ra.exited, rb.exited);
-  EXPECT_EQ(ra.instructions, rb.instructions);
-  EXPECT_EQ(a.hart_faults_applied(), b.hart_faults_applied());
-  EXPECT_EQ(a.hart_faults_applied(), 1u);
-  EXPECT_EQ(machine_payload(a), machine_payload(b));
-}
-
-TEST(Snapshot, MachineRestoreRefusesCorruptImagesAndWrongShapes) {
-  const auto lay = tiny_layout(4, Precision::k16Half, 1);
-  iss::Machine a(lay.cluster, iss::TimingConfig{}, 1);
-  a.load_program(kern::build_mmse_program(lay));
-  const std::string payload = machine_payload(a);
-
-  // Hart-count mismatch: a 2-hart machine must refuse a 1-hart capture.
-  iss::Machine wrong(lay.cluster, iss::TimingConfig{}, 2);
-  sim::SnapshotReader rw(payload);
-  EXPECT_THROW(wrong.restore_state(rw), sim::SnapshotError);
-
-  // A flipped bit inside a resident program image breaks the stored
-  // fingerprint binding (or the payload structure) - never a silent load.
-  bool threw_somewhere = false;
-  for (size_t at = 64; at < payload.size(); at += payload.size() / 13) {
-    std::string bad = payload;
-    bad[at] = static_cast<char>(bad[at] ^ 0x01);
-    iss::Machine m(lay.cluster, iss::TimingConfig{}, 1);
-    try {
-      sim::SnapshotReader r(bad);
-      m.restore_state(r);
-      r.expect_end();
-    } catch (const sim::SnapshotError&) {
-      threw_somewhere = true;
-    }
+  ASSERT_NE(list[0].first, list[1].first);
+  for (const auto& [geometry, cores] : {list[1], list[0]}) {
+    out.write_u32(geometry);
+    out.write_u32(cores);
   }
-  EXPECT_TRUE(threw_somewhere);
+  const std::string swapped = out.payload() + payload.substr(in.offset());
+
+  ran::SlotScheduler same(pool, traffic.groups);
+  sim::SnapshotReader ok(payload);
+  EXPECT_NO_THROW(same.restore_state(ok));
+
+  ran::SlotScheduler b(pool, traffic.groups);
+  sim::SnapshotReader bad(swapped);
+  EXPECT_THROW(b.restore_state(bad), sim::SnapshotError);
 }
 
 // ---------------------------------------------------------------------------
 // Cell round-trips: HARQ in flight, feedback timers, delayed indications.
 // ---------------------------------------------------------------------------
 
-TEST(Snapshot, CellRoundTripWithHarqInFlightPastTimeout) {
-  // Capture mid-soak with every stateful mechanism live: HARQ attempts in
-  // flight (some past the feedback timeout), fault-delayed indications
-  // pending, retransmissions queued. The restored cell must finish the soak
-  // byte-identically.
+class CellRoundTrip : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CellRoundTrip, WithHarqInFlightPastTimeout) {
+  // Capture at every TTI boundary of a soak with every stateful mechanism
+  // live: HARQ attempts in flight (some past the feedback timeout),
+  // fault-delayed indications pending, retransmissions queued, a hung
+  // batch's barrier counter and (ECC off) silent upsets left in L1. Every
+  // restored cell must finish the soak byte-identically. Zeroing L1 on
+  // restore changes the report for about half of these cuts.
   mac::FarmConfig cfg = small_farm();
   cfg.fault.enabled = true;
   cfg.fault.hart_trap_rate = 0.3;
   cfg.fault.hart_hang_rate = 0.2;
   cfg.fault.l1_flip_rate = 0.5;
+  cfg.fault.ecc = GetParam();
   cfg.fault.drop_indication_rate = 0.2;
   cfg.fault.delay_indication_rate = 0.3;
   cfg.fault.delay_slots = 3;
@@ -373,24 +334,25 @@ TEST(Snapshot, CellRoundTripWithHarqInFlightPastTimeout) {
   for (u32 t = 0; t < cfg.ttis; ++t) clean.step(t);
 
   mac::Cell a(cfg.cell_config(0));
-  for (u32 t = 0; t < 7; ++t) a.step(t);  // mid-soak, timers mid-count
-
-  mac::Cell b(cfg.cell_config(0));
-  sim::SnapshotReader r(cell_payload(a));
-  b.restore_state(r);
-  EXPECT_NO_THROW(r.expect_end());
-  EXPECT_EQ(cell_payload(a), cell_payload(b));
-
-  for (u32 t = 7; t < cfg.ttis; ++t) {
-    a.step(t);
-    b.step(t);
+  for (u32 cut = 1; cut < cfg.ttis; ++cut) {
+    a.step(cut - 1);
+    mac::Cell b(cfg.cell_config(0));
+    sim::SnapshotReader r(cell_payload(a));
+    b.restore_state(r);
+    EXPECT_NO_THROW(r.expect_end());
+    EXPECT_EQ(cell_payload(a), cell_payload(b)) << "cut at TTI " << cut;
+    for (u32 t = cut; t < cfg.ttis; ++t) b.step(t);
+    EXPECT_EQ(cell_payload(b), cell_payload(clean)) << "cut at TTI " << cut;
+    EXPECT_TRUE(b.report() == clean.report()) << "cut at TTI " << cut;
   }
-  EXPECT_EQ(cell_payload(a), cell_payload(b));
-  EXPECT_EQ(cell_payload(a), cell_payload(clean));
-  EXPECT_TRUE(a.report() == clean.report());
   // The scenario actually exercised timeouts and delays.
   EXPECT_GT(clean.report().harq.timeouts + clean.report().delayed_ind, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Ecc, CellRoundTrip, ::testing::Bool(),
+                         [](const auto& info) {
+                           return std::string(info.param ? "EccOn" : "EccOff");
+                         });
 
 TEST(Snapshot, CellRestoreRefusesForeignFingerprint) {
   mac::FarmConfig cfg = small_farm();
@@ -437,6 +399,34 @@ TEST(Snapshot, ResumeLadderFallsPastCorruptedNewestSnapshot) {
   const mac::CellReport fresh = mac::run_cell(cfg, 0, true, &from);
   EXPECT_EQ(from, -1);
   EXPECT_TRUE(fresh == clean);
+}
+
+TEST(Snapshot, VersionOneFilesAreRefusedAndResumeStartsClean) {
+  ScratchDir dir("v1");
+  mac::FarmConfig cfg = small_farm();
+  cfg.checkpoint_every = 4;
+  cfg.checkpoint_dir = dir.path;
+  const mac::CellReport clean = mac::run_cell(cfg, 0);
+  const std::vector<u64> ttis = mac::list_cell_snapshots(dir.path, 0);
+  ASSERT_EQ(ttis, (std::vector<u64>{4, 8}));
+
+  // Stamp every snapshot with format version 1 (header offset 4): the
+  // reader refuses it before looking at the payload.
+  for (const u64 t : ttis) {
+    const std::string path = mac::cell_snapshot_path(dir.path, 0, t);
+    std::string bytes = slurp(path);
+    const u32 v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof v1);
+    spit(path, bytes);
+    mac::Cell cell(cfg.cell_config(0));
+    EXPECT_THROW(mac::load_cell_snapshot(cell, path), sim::SnapshotError);
+  }
+
+  // The resume ladder falls past both to a clean start.
+  i64 from = 0;
+  const mac::CellReport resumed = mac::run_cell(cfg, 0, true, &from);
+  EXPECT_EQ(from, -1);
+  EXPECT_TRUE(resumed == clean);
 }
 
 TEST(Snapshot, CheckpointedCrashRecoveryResumesAndMatchesClean) {
