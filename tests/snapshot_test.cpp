@@ -318,7 +318,7 @@ TEST_P(CellRoundTrip, WithHarqInFlightPastTimeout) {
   // fault-delayed indications pending, retransmissions queued, a hung
   // batch's barrier counter and (ECC off) silent upsets left in L1. Every
   // restored cell must finish the soak byte-identically. Zeroing L1 on
-  // restore changes the report for about half of these cuts.
+  // restore changes the report for most of these cuts.
   mac::FarmConfig cfg = small_farm();
   cfg.fault.enabled = true;
   cfg.fault.hart_trap_rate = 0.3;
