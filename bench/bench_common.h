@@ -1,28 +1,17 @@
 // Shared utilities for the figure/table reproduction harnesses.
 //
-// Every bench binary accepts:
-//   --full        paper-scale parameters (slow; default is a laptop-scale
-//                 "quick" configuration that preserves the figure's shape)
-//   --csv DIR     also write each table as CSV into DIR
-//   --json DIR    also write each table as JSON rows into DIR (for recording
-//                 BENCH_*.json performance trajectories across commits)
-//   --help        usage and exit 0
-// and prints the rows/series of its paper figure via sim::Table. Unknown
-// flags are a hard error (exit 2), so a typo can never silently run the
-// default configuration - the CLI contract the CI cli-contract step checks.
-// Benches with binary-specific flags declare them via ExtraFlag so parse()
-// can validate the full command line; the bench re-scans argv for its own
-// flags afterwards.
+// Every bench binary accepts --full (paper-scale parameters; the default is
+// a laptop-scale "quick" configuration that preserves the figure's shape),
+// --csv DIR and --json [DIR], plus its own flags; `--help` lists them all.
+// It prints the rows/series of its paper figure via sim::Table.
 #pragma once
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/rng.h"
 #include "kernels/layout.h"
 #include "kernels/mmse_program.h"
@@ -31,73 +20,24 @@
 
 namespace tsim::bench {
 
-/// A bench-specific flag BenchOptions::parse should accept (and, for value
-/// flags, skip the operand of). The bench re-scans argv for it afterwards.
-struct ExtraFlag {
-  const char* name;   // e.g. "--guard"
-  bool takes_value;   // true: the next argv element is the flag's operand
-  const char* help;   // one-line description for --help
-};
-
 struct BenchOptions {
   bool full = false;
   std::string csv_dir;
   std::string json_dir;
 
-  static void usage(std::FILE* f, const char* prog,
-                    const std::vector<ExtraFlag>& extra) {
-    std::fprintf(f, "usage: %s [flags]\n", prog);
-    std::fprintf(f, "  --full       paper-scale parameters (default: quick)\n");
-    std::fprintf(f, "  --csv DIR    also write each table as CSV into DIR\n");
-    std::fprintf(f, "  --json DIR   also write each table as JSON rows into DIR\n");
-    for (const ExtraFlag& e : extra)
-      std::fprintf(f, "  %s%s  %s\n", e.name, e.takes_value ? " VALUE" : "",
-                   e.help);
-    std::fprintf(f, "  --help       this message\n");
-  }
-
-  static BenchOptions parse(int argc, char** argv,
-                            const std::vector<ExtraFlag>& extra = {}) {
+  /// Parses the shared flags plus the bench's own `extra` ones, whose
+  /// setters write into the bench's locals. Exits on --help or a bad flag.
+  static BenchOptions parse(int argc, char** argv, std::vector<cli::Flag> extra = {}) {
     BenchOptions opt;
-    const auto need_value = [&](int& i, const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
+    std::vector<cli::Flag> flags = {
+        {"--full", nullptr, "paper-scale parameters (default: quick)",
+         cli::set_to(opt.full, true)},
+        {"--csv", "DIR", "also write each table as CSV into DIR", cli::path(opt.csv_dir)},
+        {"--json", "[DIR]", "also write each table as JSON rows into DIR (default: .)",
+         cli::path(opt.json_dir)},
     };
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-        usage(stdout, argv[0], extra);
-        std::exit(0);
-      }
-      if (std::strcmp(arg, "--full") == 0) {
-        opt.full = true;
-        continue;
-      }
-      if (std::strcmp(arg, "--csv") == 0) {
-        opt.csv_dir = need_value(i, "--csv");
-        continue;
-      }
-      if (std::strcmp(arg, "--json") == 0) {
-        opt.json_dir = need_value(i, "--json");
-        continue;
-      }
-      bool matched = false;
-      for (const ExtraFlag& e : extra) {
-        if (std::strcmp(arg, e.name) == 0) {
-          matched = true;
-          if (e.takes_value) need_value(i, e.name);
-          break;
-        }
-      }
-      if (!matched) {
-        std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg);
-        usage(stderr, argv[0], extra);
-        std::exit(2);
-      }
-    }
+    flags.insert(flags.end(), extra.begin(), extra.end());
+    cli::parse(argc, argv, flags);
     return opt;
   }
 

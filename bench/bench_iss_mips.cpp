@@ -31,7 +31,6 @@
 // and the interleaved A/B rounds in measure_ab cancel most runner drift, so
 // a ratio under 1.25x means the lockstep sweep stopped paying for itself.
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 #include "iss/machine.h"
@@ -102,12 +101,11 @@ std::pair<Point, Point> measure_ab(const tera::TeraPoolConfig& cluster, u32 core
 int main(int argc, char** argv) {
   using namespace tsim;
   using namespace tsim::bench;
+  bool guard = false;
   const BenchOptions opt = BenchOptions::parse(
       argc, argv,
-      {{"--guard", false, "exit 1 if simulated MIPS regresses below the floor"}});
-  bool guard = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--guard") == 0) guard = true;
+      {{"--guard", nullptr, "exit 1 if simulated MIPS regresses below the floor",
+        cli::set_to(guard, true)}});
 
   const auto cluster = tera::TeraPoolConfig::full();
   const u32 max_fit = kern::MmseLayout::max_parallel_cores(

@@ -24,21 +24,12 @@
 using namespace tsim;
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::BenchOptions::parse(
-      argc, argv,
-      {{"--policy", true, "run only this assignment policy (roundrobin|locality)"}});
   std::vector<ran::AssignPolicy> policies = {ran::AssignPolicy::kRoundRobin,
                                              ran::AssignPolicy::kLocality};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
-      try {
-        policies = {ran::parse_policy(argv[++i])};
-      } catch (const SimError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-    }
-  }
+  const bench::BenchOptions opt = bench::BenchOptions::parse(
+      argc, argv,
+      {{"--policy", "P", "run only this assignment policy (roundrobin | locality)",
+        [&](const char* s) { policies = {ran::parse_policy(s)}; }}});
 
   phy::CarrierConfig carrier;
   if (!opt.full) {

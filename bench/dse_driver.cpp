@@ -14,13 +14,8 @@
 //                                tests/golden/dse_quick.json pins them
 //                                without the host-timed columns)
 //
-// Flags: --json [DIR] (default "."), --csv DIR, --ttis N, --threads N,
-// --clock GHZ, --seed S, --objectives LIST (comma-separated from
-// {cores, latency, ber, reloads}). Unknown flags exit 2.
+// `./dse_driver --help` lists every flag.
 #include <cstdio>
-#include <cstdlib>
-#include <cctype>
-#include <cstring>
 
 #include "bench_common.h"
 #include "dse/pareto.h"
@@ -33,110 +28,6 @@ using namespace tsim;
 namespace {
 
 enum class Mode { kQuick, kMedium, kFull };
-
-struct DriverOptions {
-  Mode mode = Mode::kMedium;
-  std::string json_dir;  // empty = no JSON
-  std::string csv_dir;
-  u32 ttis = 1;
-  u32 host_threads = 1;
-  double clock_ghz = 1.0;
-  u64 seed = 0xD5E;
-  // Warm-started construction: sibling points reuse translated programs and
-  // locality calibration (metrics bit-identical to a cold sweep, only wall
-  // time moves), so it defaults on; --cold-start is the reference mode.
-  bool warm_start = true;
-  std::vector<dse::Objective> objectives = dse::default_objectives();
-};
-
-/// Strict positive-integer flag parsing: rejects junk and negatives, which
-/// would otherwise wrap through the u32 cast past the >= 1 checks.
-u32 parse_positive_u32(const char* flag, const char* text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  check(end != text && *end == '\0' && v >= 1 && v <= 0xFFFFFFFFll,
-        std::string(flag) + " expects a positive integer, got '" + text + "'");
-  return static_cast<u32>(v);
-}
-
-double parse_positive_double(const char* flag, const char* text) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  check(end != text && *end == '\0' && v > 0.0,
-        std::string(flag) + " expects a positive number, got '" + text + "'");
-  return v;
-}
-
-u64 parse_u64(const char* flag, const char* text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 0);
-  // Requiring a leading digit rejects the whitespace/sign prefixes strtoull
-  // would otherwise skip (and wrap: " -5" parses as a huge u64).
-  check(std::isdigit(static_cast<unsigned char>(text[0])) && end != text &&
-            *end == '\0',
-        std::string(flag) + " expects a non-negative integer, got '" + text + "'");
-  return static_cast<u64>(v);
-}
-
-void print_usage(std::FILE* f, const char* prog) {
-  std::fprintf(f, "usage: %s [flags]\n", prog);
-  std::fprintf(f, "  --quick | --full     sweep size (default: medium)\n");
-  std::fprintf(f, "  --json [DIR]         write dse_pareto.json (default DIR: .)\n");
-  std::fprintf(f, "  --csv DIR            write dse_pareto.csv into DIR\n");
-  std::fprintf(f, "  --ttis N             slots per design point\n");
-  std::fprintf(f, "  --threads N          host evaluation threads\n");
-  std::fprintf(f, "  --clock GHZ          modelled cluster clock\n");
-  std::fprintf(f, "  --seed S             traffic seed\n");
-  std::fprintf(f, "  --warm-start / --cold-start\n");
-  std::fprintf(f, "                       reuse warmed scheduler state across\n");
-  std::fprintf(f, "                       sibling points (default on; metrics\n");
-  std::fprintf(f, "                       are bit-identical to a cold sweep)\n");
-  std::fprintf(f, "  --objectives A,B,..  Pareto objectives\n");
-  std::fprintf(f, "  --help               this message\n");
-}
-
-DriverOptions parse_args(int argc, char** argv) {
-  DriverOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto next = [&](const char* flag) -> const char* {
-      check(i + 1 < argc, std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      print_usage(stdout, argv[0]);
-      std::exit(0);
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      opt.mode = Mode::kQuick;
-    } else if (std::strcmp(arg, "--full") == 0) {
-      opt.mode = Mode::kFull;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      // Directory operand is optional: bare --json writes ./dse_pareto.json.
-      // Anything flag-shaped is not a directory (so a typo like `--json -q`
-      // still hits the unknown-flag error instead of becoming a path).
-      opt.json_dir = (i + 1 < argc && argv[i + 1][0] != '-') ? argv[++i] : ".";
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      opt.csv_dir = next("--csv");
-    } else if (std::strcmp(arg, "--ttis") == 0) {
-      opt.ttis = parse_positive_u32("--ttis", next("--ttis"));
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      opt.host_threads = parse_positive_u32("--threads", next("--threads"));
-    } else if (std::strcmp(arg, "--clock") == 0) {
-      opt.clock_ghz = parse_positive_double("--clock", next("--clock"));
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      opt.seed = parse_u64("--seed", next("--seed"));
-    } else if (std::strcmp(arg, "--warm-start") == 0) {
-      opt.warm_start = true;
-    } else if (std::strcmp(arg, "--cold-start") == 0) {
-      opt.warm_start = false;
-    } else if (std::strcmp(arg, "--objectives") == 0) {
-      opt.objectives = dse::parse_objectives(next("--objectives"));
-    } else {
-      throw SimError(std::string("unknown flag '") + arg + "'");
-    }
-  }
-  return opt;
-}
 
 /// The swept axes and workload per mode. All three share the mixed-geometry
 /// UE population (three (ntx, nrx) geometries sharing the carrier), so the
@@ -173,24 +64,22 @@ dse::DesignSpace space_for(Mode mode) {
   return space;
 }
 
-ran::TrafficConfig traffic_for(Mode mode, u64 seed) {
-  ran::TrafficConfig traffic;
-  traffic.groups = ran::mixed_geometry_groups();
-  traffic.seed = seed;
+phy::CarrierConfig carrier_for(Mode mode) {
+  phy::CarrierConfig carrier;
   switch (mode) {
     case Mode::kQuick:
-      traffic.carrier.bandwidth_hz = 2e6;  // ~65 subcarriers
-      traffic.carrier.symbols_per_slot = 2;
+      carrier.bandwidth_hz = 2e6;  // ~65 subcarriers
+      carrier.symbols_per_slot = 2;
       break;
     case Mode::kMedium:
-      traffic.carrier.bandwidth_hz = 10e6;  // ~327 subcarriers
-      traffic.carrier.symbols_per_slot = 4;
+      carrier.bandwidth_hz = 10e6;  // ~327 subcarriers
+      carrier.symbols_per_slot = 4;
       break;
     case Mode::kFull:
-      traffic.carrier = phy::CarrierConfig::paper_50mhz();
+      carrier = phy::CarrierConfig::paper_50mhz();
       break;
   }
-  return traffic;
+  return carrier;
 }
 
 const char* mode_name(Mode mode) {
@@ -203,34 +92,60 @@ const char* mode_name(Mode mode) {
 }
 
 int run(int argc, char** argv) {
-  const DriverOptions opt = parse_args(argc, argv);
-  const dse::DesignSpace space = space_for(opt.mode);
-
+  Mode mode = Mode::kMedium;
   dse::SweepConfig cfg;
-  cfg.traffic = traffic_for(opt.mode, opt.seed);
-  cfg.ttis = opt.ttis;
-  cfg.clock_hz = opt.clock_ghz * 1e9;
-  cfg.host_threads = opt.host_threads;
-  cfg.warm_start = opt.warm_start;
+  cfg.traffic.seed = 0xD5E;
+  // Warm-started construction: sibling points reuse translated programs and
+  // locality calibration (metrics bit-identical to a cold sweep, only wall
+  // time moves), so it defaults on; --cold-start is the reference mode.
+  cfg.warm_start = true;
+  std::vector<dse::Objective> objectives = dse::default_objectives();
+  std::string json_dir;
+  std::string csv_dir;
+  cli::parse(argc, argv, {
+      {"--quick", nullptr, "CI-sized sweep (default: medium)",
+       cli::set_to(mode, Mode::kQuick)},
+      {"--full", nullptr, "paper-scale sweep (default: medium)",
+       cli::set_to(mode, Mode::kFull)},
+      {"--json", "[DIR]", "write DIR/dse_pareto.json (default DIR: .)",
+       cli::path(json_dir)},
+      {"--csv", "DIR", "write DIR/dse_pareto.csv", cli::path(csv_dir)},
+      {"--ttis", "N", "slots per design point (default 1)", cli::positive(cfg.ttis)},
+      {"--threads", "N", "host evaluation threads (default 1)",
+       cli::positive(cfg.host_threads)},
+      {"--clock", "GHZ", "modelled cluster clock (default 1.0)",
+       [&](const char* s) { cfg.clock_hz = cli::parse_double(s, true) * 1e9; }},
+      {"--seed", "S", "traffic seed (default 0xD5E)",
+       cli::non_negative(cfg.traffic.seed)},
+      {"--warm-start", nullptr, "reuse warmed state across sibling points (default)",
+       cli::set_to(cfg.warm_start, true)},
+      {"--cold-start", nullptr, "build every point cold (metrics are bit-identical)",
+       cli::set_to(cfg.warm_start, false)},
+      {"--objectives", "A,B,..", "Pareto objectives from {cores, latency, ber, reloads}",
+       [&](const char* s) { objectives = dse::parse_objectives(s); }},
+  });
+  const dse::DesignSpace space = space_for(mode);
+  cfg.traffic.carrier = carrier_for(mode);
+  cfg.traffic.groups = ran::mixed_geometry_groups();
 
   std::printf("dse_driver | %s sweep: %zu points over (clusters x cores x "
               "precision x problems/core x policy)\n",
-              mode_name(opt.mode), space.enumerate().size());
+              mode_name(mode), space.enumerate().size());
   std::printf("workload: %u sc x %u sym (%llu problems/TTI) x %u TTI(s), "
               "%zu UE geometries, seed 0x%llx\n",
               cfg.traffic.carrier.num_subcarriers(),
               cfg.traffic.carrier.symbols_per_slot,
               static_cast<unsigned long long>(cfg.traffic.carrier.problems_per_tti()),
               cfg.ttis, cfg.traffic.groups.size(),
-              static_cast<unsigned long long>(opt.seed));
+              static_cast<unsigned long long>(cfg.traffic.seed));
   std::printf("objectives:");
-  for (const dse::Objective o : opt.objectives)
+  for (const dse::Objective o : objectives)
     std::printf(" %s", dse::name_of(o));
   std::printf(" (all minimized)\n\n");
 
   const bench::Stopwatch wall;
   const dse::SweepResult result = dse::run_sweep(space, cfg);
-  const std::vector<u32> front = dse::pareto_front(result.points, opt.objectives);
+  const std::vector<u32> front = dse::pareto_front(result.points, objectives);
 
   const sim::Table table = dse::sweep_table(result, front);
   table.print();
@@ -247,10 +162,10 @@ int run(int argc, char** argv) {
               result.points.size(), result.skipped.size(), wall.seconds(),
               cfg.warm_start ? "warm-started" : "cold-started");
 
-  if (!opt.csv_dir.empty()) table.write_csv(opt.csv_dir + "/dse_pareto.csv");
-  if (!opt.json_dir.empty()) {
+  if (!csv_dir.empty()) table.write_csv(csv_dir + "/dse_pareto.csv");
+  if (!json_dir.empty()) {
     const std::string path =
-        bench::BenchOptions::write_json_table(table, opt.json_dir, "dse_pareto");
+        bench::BenchOptions::write_json_table(table, json_dir, "dse_pareto");
     check(!path.empty(), "failed to write the JSON trajectory");
     std::printf("wrote %s\n", path.c_str());
   }

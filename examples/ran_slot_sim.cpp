@@ -8,21 +8,18 @@
 // subcarriers. Every subcarrier problem runs bit-true on the emulated RV32
 // clusters; cycle accounting converts to latency at the given clock.
 //
-// Build & run:  ./ran_slot_sim [--clusters N] [--threads N] [--ttis N]
-//                              [--poisson LOAD] [--full] [--clock GHZ]
-//                              [--policy roundrobin|locality] [--json DIR]
-//   --full uses the 1024-core TeraPool per cluster (default: the 16-core
-//   tiny configuration, which visibly misses the deadline).
-//   --policy selects the batch-to-cluster assignment (default: locality;
-//   see scheduler.h); --json DIR writes the per-TTI table as JSON rows so
-//   the two policies can be diffed from the CLI.
+// Build & run:  ./ran_slot_sim [--clusters N] [--ttis N] [--poisson LOAD]
+//                              [--full] [--policy roundrobin|locality] ...
+//   `--help` lists every flag. --full uses the 1024-core TeraPool per cluster
+//   (default: the 16-core tiny configuration, which visibly misses the
+//   deadline); --json writes the per-TTI table as JSON rows so the two
+//   assignment policies can be diffed from the CLI.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
+#include "common/cli.h"
 #include "ran/deadline.h"
 #include "ran/scheduler.h"
 #include "ran/traffic.h"
@@ -32,53 +29,6 @@ using namespace tsim;
 namespace {
 
 int run(int argc, char** argv) {
-  u32 num_clusters = 2;
-  u32 host_threads = std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
-  u32 ttis = 1;
-  double poisson_load = -1.0;  // < 0 = full buffer
-  double clock_ghz = 1.0;
-  bool full = false;
-  ran::AssignPolicy policy = ran::AssignPolicy::kLocality;
-  std::string json_dir;
-  const auto usage = [&](std::FILE* f) {
-    std::fprintf(f,
-                 "usage: %s [--clusters N] [--threads N] [--ttis N] "
-                 "[--poisson LOAD] [--clock GHZ] [--full]\n"
-                 "       [--policy roundrobin|locality] [--json DIR] [--help]\n",
-                 argv[0]);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const auto value = [&](const char* flag) -> const char* {
-      check(i + 1 < argc, std::string(flag) + " needs a value");
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      usage(stdout);
-      return 0;
-    } else if (std::strcmp(argv[i], "--clusters") == 0)
-      num_clusters = static_cast<u32>(std::atoi(value("--clusters")));
-    else if (std::strcmp(argv[i], "--threads") == 0)
-      host_threads = static_cast<u32>(std::atoi(value("--threads")));
-    else if (std::strcmp(argv[i], "--ttis") == 0)
-      ttis = static_cast<u32>(std::atoi(value("--ttis")));
-    else if (std::strcmp(argv[i], "--poisson") == 0)
-      poisson_load = std::atof(value("--poisson"));
-    else if (std::strcmp(argv[i], "--clock") == 0)
-      clock_ghz = std::atof(value("--clock"));
-    else if (std::strcmp(argv[i], "--full") == 0)
-      full = true;
-    else if (std::strcmp(argv[i], "--policy") == 0)
-      policy = ran::parse_policy(value("--policy"));
-    else if (std::strcmp(argv[i], "--json") == 0)
-      json_dir = value("--json");
-    else {
-      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      usage(stderr);
-      return 2;
-    }
-  }
-  ttis = std::max(1u, ttis);
-
   // The paper's carrier and a mixed-service UE population.
   ran::TrafficConfig traffic;
   traffic.carrier = phy::CarrierConfig::paper_50mhz();
@@ -86,18 +36,35 @@ int run(int argc, char** argv) {
       ran::UeGroup{"embb", 4, 4, 64, 22.0, phy::ChannelType::kRayleigh, 3.0},
       ran::UeGroup{"ctrl", 2, 4, 4, 10.0, phy::ChannelType::kAwgn, 1.0},
   };
-  if (poisson_load >= 0.0) {
-    traffic.arrival = ran::ArrivalModel::kPoisson;
-    traffic.offered_load = poisson_load;
-  }
 
-  ran::ClusterPoolConfig pool;
-  pool.num_clusters = num_clusters;
-  pool.host_threads = host_threads;
-  pool.cluster = full ? tera::TeraPoolConfig::full() : tera::TeraPoolConfig::tiny();
+  ran::ClusterPoolConfig pool;  // 2 tiny clusters, locality assignment
+  pool.host_threads = std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
   pool.prec = kern::Precision::k16CDotp;
   pool.problems_per_core = 4;
-  pool.policy = policy;
+
+  u32 ttis = 1;
+  double clock_ghz = 1.0;
+  std::string json_dir;
+  cli::parse(argc, argv, {
+      {"--clusters", "N", "emulated clusters in the pool (default 2)",
+       cli::positive(pool.num_clusters)},
+      {"--threads", "N", "host worker threads (default 2-4, by host CPUs)",
+       cli::positive(pool.host_threads)},
+      {"--ttis", "N", "slots to simulate (default 1)", cli::positive(ttis)},
+      {"--poisson", "LOAD", "Poisson arrivals at this offered load (default: full)",
+       [&traffic](const char* s) {
+         traffic.arrival = ran::ArrivalModel::kPoisson;
+         traffic.offered_load = cli::parse_double(s, false);
+       }},
+      {"--clock", "GHZ", "modelled cluster clock (default 1.0)",
+       cli::positive(clock_ghz)},
+      {"--full", nullptr, "1024-core TeraPool clusters (default: 16-core tiny)",
+       cli::set_to(pool.cluster, tera::TeraPoolConfig::full())},
+      {"--policy", "P", "assignment policy: roundrobin | locality (default locality)",
+       [&pool](const char* s) { pool.policy = ran::parse_policy(s); }},
+      {"--json", "[DIR]", "write DIR/ran_slot_sim.json (default DIR: .)",
+       cli::path(json_dir)},
+  });
 
   ran::TrafficGenerator gen(traffic);
   ran::SlotScheduler sched(pool, traffic.groups);
