@@ -206,46 +206,12 @@ void Machine::reset_harts() {
   stop_ = false;
   exited_ = false;
   exit_code_ = 0;
-  wake_events_.clear();
   if (faults_armed_) {
     // Re-arm scheduled faults: a faulted run replays bit-for-bit.
     for (HartFault& f : hart_faults_) f.applied = false;
     std::fill(hart_hung_.begin(), hart_hung_.end(), u8{0});
     faults_applied_ = 0;
   }
-}
-
-void Machine::schedule_wake_at(u32 hart, u64 at_cycle) {
-  check(hart == ~0u || hart < num_harts(), "schedule_wake_at: hart out of range");
-  const WakeEvent e{at_cycle, hart};
-  const auto before = [](const WakeEvent& a, const WakeEvent& b) {
-    return a.at_cycle != b.at_cycle ? a.at_cycle < b.at_cycle : a.hart < b.hart;
-  };
-  wake_events_.insert(
-      std::lower_bound(wake_events_.begin(), wake_events_.end(), e, before), e);
-}
-
-bool Machine::fire_wake_events() {
-  // Every runnable hart is asleep, so simulated time has no owner: the
-  // earliest pending event IS the present. on_wake stamps wake_cycle with
-  // the event cycle and resume_from_wfi charges the sleeper the exact wfi
-  // stall a cycle-by-cycle wait would have accumulated, so the O(1) jump is
-  // invisible to the timing model. An event targeting a hart that is not
-  // sleeping (halted, hung, or already awake) wakes nobody; keep firing
-  // until one does or the queue drains.
-  while (!wake_events_.empty()) {
-    const u64 cycle = wake_events_.front().at_cycle;
-    while (!wake_events_.empty() && wake_events_.front().at_cycle == cycle) {
-      const u32 target = wake_events_.front().hart;
-      wake_events_.erase(wake_events_.begin());
-      on_wake(target, cycle);
-    }
-    if (!awake_.empty()) {
-      ++idle_jumps_;
-      return true;
-    }
-  }
-  return false;
 }
 
 void Machine::inject_hart_fault(u32 hart, u64 at_instret, bool hang) {
@@ -924,9 +890,6 @@ RunResult Machine::run(u64 max_instructions) {
       pos_ = 0;
       if (stop_) break;
       if (awake_.empty()) {
-        // Quiescence fast-forward: with wake events pending, jump straight
-        // to the earliest one instead of declaring deadlock.
-        if (!wake_events_.empty() && fire_wake_events()) continue;
         for (u32 i = 0; i < num_harts(); ++i) {
           if (!soa_.arch[i].halted) {
             res.deadlock = true;  // live harts asleep, nobody left to wake them

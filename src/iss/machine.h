@@ -252,24 +252,6 @@ class Machine {
   u32 hart_faults_applied() const { return faults_applied_; }
   bool hart_faults_armed() const { return faults_armed_; }
 
-  // ---- event-driven fast-forward (deterministic wake events) ----
-  /// Schedules a wake event: hart `hart` (~0u = every hart) is woken at
-  /// absolute cycle `at_cycle`, exactly as if a peer's MMIO wake store had
-  /// issued at that cycle (wake_cycle = at_cycle; the sleeper resumes at
-  /// at_cycle + barrier_wake_cost with the wfi stall charged in full). When
-  /// run()'s awake list drains while events are pending, the machine does
-  /// NOT spin or report deadlock: it jumps straight to the earliest pending
-  /// event in O(1) host work and fires every event scheduled at that cycle -
-  /// the timer/DMA-completion quiescence skip for long idle windows. Cycle
-  /// accounting is identical to a cycle-by-cycle wait for the same wake.
-  /// Events that never find a sleeping hart are dropped at run end.
-  /// reset_harts() clears pending events.
-  void schedule_wake_at(u32 hart, u64 at_cycle);
-  /// Pending (unfired) wake events.
-  size_t pending_wake_events() const { return wake_events_.size(); }
-  /// All-asleep quiescence jumps run() performed via pending wake events.
-  u64 idle_jumps() const { return idle_jumps_; }
-
   /// Per-instruction trace hook: called before each instruction executes
   /// with (hart id, pc, decoded instruction). Intended for debugging and
   /// trace tooling; when set, execution takes the per-instruction reference
@@ -391,18 +373,6 @@ class Machine {
   /// traced reference path refreshes it every instruction; both are
   /// observationally identical).
   u64 current_cycle_ = 0;
-
-  // ---- event-driven fast-forward ----
-  struct WakeEvent {
-    u64 at_cycle = 0;
-    u32 hart = 0;  // ~0u = broadcast
-  };
-  /// Fires every pending event at the earliest scheduled cycle, repeating
-  /// until a hart actually wakes or the queue drains. Returns true when the
-  /// run list was refilled. run() only.
-  bool fire_wake_events();
-  std::vector<WakeEvent> wake_events_;  // sorted by (at_cycle, hart)
-  u64 idle_jumps_ = 0;
 
   // ---- deterministic fault injection ----
   struct HartFault {

@@ -1,101 +1,18 @@
-// Event-driven fast-forward tests: Machine wake-event quiescence jumps,
-// scheduler batch shrink bit-exactness (cycles/reloads/detections identical,
-// strictly fewer host-retired instructions), the MAC cell's quiescent-TTI
-// skip, and DSE warm-started points equalling cold-run points bit-exactly.
+// Event-driven fast-forward tests: scheduler batch shrink bit-exactness
+// (cycles/reloads/detections identical, strictly fewer host-retired
+// instructions), the MAC cell's quiescent-TTI skip, and DSE warm-started
+// points equalling cold-run points bit-exactly.
 #include <gtest/gtest.h>
-
-#include <memory>
 
 #include "dse/space.h"
 #include "dse/sweep.h"
-#include "iss/machine.h"
 #include "mac/cell.h"
 #include "ran/scheduler.h"
 #include "ran/traffic.h"
-#include "rvasm/textasm.h"
 #include "tera/config.h"
 
 namespace tsim {
 namespace {
-
-// ---- iss::Machine wake events ----
-
-/// Every hart parks in WFI immediately; after an external wake, hart 0
-/// stores the exit code and non-zero harts park again.
-std::unique_ptr<iss::Machine> parked_machine(u32 harts) {
-  auto m = std::make_unique<iss::Machine>(tera::TeraPoolConfig::tiny(),
-                                          iss::TimingConfig{}, harts);
-  m->load_program(rvasm::assemble(R"(
-    _start:
-      wfi
-      csrr t0, mhartid
-      bnez t0, park
-      li t1, 0x40000000
-      li t2, 7
-      sw t2, 0(t1)
-    park:
-      wfi
-      j park
-  )"));
-  return m;
-}
-
-TEST(FastForwardMachine, JumpsToScheduledWakeInsteadOfDeadlocking) {
-  auto m = parked_machine(4);
-  const u64 wake_at = 10'000;
-  m->schedule_wake_at(~0u, wake_at);  // broadcast: timer-style event
-  EXPECT_EQ(m->pending_wake_events(), 1u);
-  const iss::RunResult r = m->run();
-  EXPECT_TRUE(r.exited);
-  EXPECT_FALSE(r.deadlock);
-  EXPECT_EQ(r.exit_code, 7u);
-  EXPECT_EQ(m->idle_jumps(), 1u);
-  EXPECT_EQ(m->pending_wake_events(), 0u);
-  // The quiescent gap is charged as wfi stall, not spun through: every hart
-  // resumed at (or after) the event cycle.
-  for (u32 h = 0; h < 4; ++h) {
-    EXPECT_GE(m->hart(h).cycles(), wake_at) << "hart " << h;
-    EXPECT_GE(m->hart(h).wfi_stall_cycles, wake_at - 64) << "hart " << h;
-  }
-}
-
-TEST(FastForwardMachine, SingleHartWakeTargetsExactlyThatHart) {
-  auto m = parked_machine(2);
-  m->schedule_wake_at(0, 500);  // wake hart 0 only; hart 1 sleeps through
-  const iss::RunResult r = m->run();
-  EXPECT_TRUE(r.exited);
-  EXPECT_EQ(r.exit_code, 7u);
-  EXPECT_EQ(m->idle_jumps(), 1u);
-  EXPECT_GE(m->hart(0).cycles(), 500u);
-  // Hart 1 never woke: it is still parked at its first wfi.
-  EXPECT_LT(m->hart(1).cycles(), 500u);
-}
-
-TEST(FastForwardMachine, NoEventsStillMeansDeadlock) {
-  auto m = parked_machine(2);
-  const iss::RunResult r = m->run();
-  EXPECT_TRUE(r.deadlock);
-  EXPECT_FALSE(r.exited);
-  EXPECT_EQ(m->idle_jumps(), 0u);
-}
-
-TEST(FastForwardMachine, EventsAreExactlyReplayableAfterReset) {
-  auto a = parked_machine(3);
-  auto b = parked_machine(3);
-  a->schedule_wake_at(~0u, 2'000);
-  b->schedule_wake_at(~0u, 2'000);
-  a->run();
-  b->run();
-  for (u32 h = 0; h < 3; ++h) {
-    EXPECT_EQ(a->hart(h).cycles(), b->hart(h).cycles()) << "hart " << h;
-    EXPECT_EQ(a->hart(h).wfi_stall_cycles, b->hart(h).wfi_stall_cycles)
-        << "hart " << h;
-  }
-  // reset_harts clears pending events: a fresh pass must not see stale ones.
-  a->schedule_wake_at(~0u, 9'999);
-  a->reset_harts();
-  EXPECT_EQ(a->pending_wake_events(), 0u);
-}
 
 // ---- ran::SlotScheduler batch shrink ----
 
