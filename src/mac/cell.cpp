@@ -414,6 +414,9 @@ u64 Cell::config_fingerprint() const {
   mix(cfg_.farm_seed);
   mix(cfg_.num_ues);
   mix(cfg_.sc_per_pdu);
+  mixd(cfg_.carrier.bandwidth_hz);
+  mix(cfg_.carrier.numerology.mu);
+  mixd(cfg_.carrier.guard_fraction);
   mix(cfg_.carrier.num_subcarriers());
   mix(cfg_.carrier.symbols_per_slot);
   mixd(cfg_.clock_hz);

@@ -368,6 +368,24 @@ TEST(Snapshot, CellRestoreRefusesForeignFingerprint) {
   EXPECT_THROW(b.restore_state(r), sim::SnapshotError);
 }
 
+TEST(Snapshot, CellRestoreRefusesForeignCarrier) {
+  // mu = 1 on 2 MHz and mu = 0 on 1 MHz both carry 65 subcarriers, but their
+  // TTIs are 0.5 ms and 1 ms: a restore across them must refuse, not count
+  // deadline misses against the wrong slot length.
+  mac::FarmConfig cfg = small_farm();
+  cfg.carrier.bandwidth_hz = 2e6;
+  mac::FarmConfig other = cfg;
+  other.carrier.bandwidth_hz = 1e6;
+  other.carrier.numerology.mu = 0;
+  ASSERT_EQ(cfg.carrier.num_subcarriers(), other.carrier.num_subcarriers());
+
+  mac::Cell a(cfg.cell_config(0));
+  a.step(0);
+  mac::Cell b(other.cell_config(0));
+  sim::SnapshotReader r(cell_payload(a));
+  EXPECT_THROW(b.restore_state(r), sim::SnapshotError);
+}
+
 // ---------------------------------------------------------------------------
 // Farm snapshot files, the resume ladder, and checkpointed recovery.
 // ---------------------------------------------------------------------------
